@@ -360,8 +360,20 @@ mod tests {
         KeyBuilder::new("test").u64(n).finish()
     }
 
+    /// The cache counters are process-global and tests run in parallel:
+    /// every test that touches a cache holds this lock, so
+    /// `counters_conserve_lookups_and_stores` counts only its own lookups
+    /// and stores.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive_counters() -> std::sync::MutexGuard<'static, ()> {
+        // A test that panicked while holding the lock leaves `()` intact.
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn memory_tier_roundtrips() {
+        let _counters = exclusive_counters();
         let cache = Cache::memory_only(8);
         assert_eq!(cache.get(&key(1)), None);
         cache.put(&key(1), b"payload one");
@@ -370,6 +382,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
+        let _counters = exclusive_counters();
         let cache = Cache::memory_only(2);
         cache.put(&key(1), b"a");
         cache.put(&key(2), b"b");
@@ -382,6 +395,7 @@ mod tests {
 
     #[test]
     fn disk_tier_survives_a_fresh_handle() {
+        let _counters = exclusive_counters();
         let dir = scratch("persist");
         let _ = fs::remove_dir_all(&dir);
         {
@@ -395,6 +409,7 @@ mod tests {
 
     #[test]
     fn payloads_may_contain_newlines_and_binary() {
+        let _counters = exclusive_counters();
         let dir = scratch("binary");
         let _ = fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -407,6 +422,7 @@ mod tests {
 
     #[test]
     fn truncated_entry_is_discarded_as_a_miss() {
+        let _counters = exclusive_counters();
         let dir = scratch("truncated");
         let _ = fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -424,6 +440,7 @@ mod tests {
 
     #[test]
     fn flipped_crc_byte_is_discarded_as_a_miss() {
+        let _counters = exclusive_counters();
         let dir = scratch("bitflip");
         let _ = fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -441,6 +458,7 @@ mod tests {
 
     #[test]
     fn stale_engine_salt_is_discarded_as_a_miss() {
+        let _counters = exclusive_counters();
         let dir = scratch("salt");
         let _ = fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -455,6 +473,7 @@ mod tests {
 
     #[test]
     fn key_echo_mismatch_is_discarded_as_a_miss() {
+        let _counters = exclusive_counters();
         let dir = scratch("echo");
         let _ = fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -468,6 +487,7 @@ mod tests {
 
     #[test]
     fn counters_conserve_lookups_and_stores() {
+        let _counters = exclusive_counters();
         let before = elivagar_obs::metrics::snapshot();
         let dir = scratch("counters");
         let _ = fs::remove_dir_all(&dir);

@@ -1195,9 +1195,8 @@ mod simd {
 }
 
 /// Applies a single-qubit unitary to a slice whose length is a multiple of
-/// `2^(q+1)` (a whole state or an independent block of one). The slice is
-/// walked through `chunks_exact_mut`/`split_at_mut` pairs so the inner
-/// butterfly carries no bounds checks.
+/// `2^(q+1)` (a whole state or an independent block of one). Qubit 0, and
+/// hosts without AVX2+FMA, take the exact (no-FMA) state-vector kernel.
 fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1208,21 +1207,7 @@ fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
             return;
         }
     }
-    apply_mat1_slice_scalar(amps, q, m);
-}
-
-fn apply_mat1_slice_scalar(amps: &mut [C64], q: usize, m: &Mat2) {
-    let stride = 1usize << q;
-    let [[m00, m01], [m10, m11]] = m.0;
-    for block in amps.chunks_exact_mut(stride << 1) {
-        let (clear, set) = block.split_at_mut(stride);
-        for (c, s) in clear.iter_mut().zip(set.iter_mut()) {
-            let a0 = *c;
-            let a1 = *s;
-            *c = m00 * a0 + m01 * a1;
-            *s = m10 * a0 + m11 * a1;
-        }
-    }
+    crate::statevector::apply_mat1_exact(amps, q, m);
 }
 
 /// Applies a two-qubit unitary (`qa` the low subspace bit) to a slice

@@ -257,27 +257,19 @@ impl StateVector {
         &mut self.amps
     }
 
-    /// Applies a single-qubit unitary to qubit `q`.
+    /// Applies a single-qubit operator to qubit `q`: each amplitude pair
+    /// `(a0, a1)` becomes `(m00*a0 + m01*a1, m10*a0 + m11*a1)` in `C64`
+    /// arithmetic. The SIMD path rounds every lane exactly like that
+    /// scalar expression (see [`apply_mat1_exact`]), so results are
+    /// bit-identical on every host. `m` need not be unitary (damping
+    /// Kraus operators use this too).
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     pub fn apply_mat1(&mut self, q: usize, m: &Mat2) {
         assert!(q < self.num_qubits, "qubit {q} out of range");
-        let stride = 1usize << q;
-        let n = self.amps.len();
-        let mut base = 0;
-        while base < n {
-            for offset in base..base + stride {
-                let i0 = offset;
-                let i1 = offset + stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m.0[0][0] * a0 + m.0[0][1] * a1;
-                self.amps[i1] = m.0[1][0] * a0 + m.0[1][1] * a1;
-            }
-            base += stride << 1;
-        }
+        apply_mat1_exact(&mut self.amps, q, m);
     }
 
     /// Applies a two-qubit unitary to qubits `(qa, qb)` where `qa` is the
@@ -487,6 +479,137 @@ impl StateVector {
     }
 }
 
+/// Single-qubit butterfly over a slice whose length is a multiple of
+/// `2^(q+1)`, rounding exactly like scalar `C64` arithmetic: the AVX2
+/// kernel (runtime-detected) uses separate multiplies and `addsub`, never
+/// FMA, so each lane performs the scalar expression's roundings in the
+/// scalar order. The fused engine's FMA kernels trade that exactness for
+/// speed; the dense reference paths (`StateVector::run`, trajectories,
+/// RepCap's basis rotations, the reference adjoint) keep it.
+pub(crate) fn apply_mat1_exact(amps: &mut [C64], q: usize, m: &Mat2) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if exact_simd::available() {
+            // SAFETY: `available()` confirmed AVX2 at runtime.
+            unsafe { exact_simd::apply_mat1(amps, q, m) };
+            return;
+        }
+    }
+    apply_mat1_portable(amps, q, m);
+}
+
+/// The portable [`apply_mat1_exact`]: the scalar butterfly walked through
+/// `chunks_exact_mut`/`split_at_mut` pairs so the inner loop carries no
+/// bounds checks.
+fn apply_mat1_portable(amps: &mut [C64], q: usize, m: &Mat2) {
+    let stride = 1usize << q;
+    let [[m00, m01], [m10, m11]] = m.0;
+    for block in amps.chunks_exact_mut(stride << 1) {
+        let (clear, set) = block.split_at_mut(stride);
+        for (c, s) in clear.iter_mut().zip(set.iter_mut()) {
+            let a0 = *c;
+            let a1 = *s;
+            *c = m00 * a0 + m01 * a1;
+            *s = m10 * a0 + m11 * a1;
+        }
+    }
+}
+
+/// AVX2 kernels that round exactly like scalar `C64` arithmetic.
+///
+/// `C64` is `#[repr(C)]`, so a `[C64]` run is an interleaved
+/// `[re, im, re, im]` `f64` stream and one 256-bit register holds two
+/// amplitudes. The complex product `m * a` is `addsub(mr * a, mi *
+/// swap(a))`: even lanes give `mr*a.re - mi*a.im`, odd lanes `mr*a.im +
+/// mi*a.re` — the two roundings of each scalar product, then one rounding
+/// for the sum, as in `C64::mul`. The butterfly's `m00*a0 + m01*a1` is one
+/// more `add`, in the same operand order.
+#[cfg(target_arch = "x86_64")]
+mod exact_simd {
+    use elivagar_circuit::math::{Mat2, C64};
+    use std::arch::x86_64::*;
+
+    /// Whether the running CPU supports these kernels.
+    #[inline]
+    pub fn available() -> bool {
+        is_x86_feature_detected!("avx2")
+    }
+
+    /// `(re + i*im) * a` for two interleaved amplitudes `a`, with `sw` the
+    /// same amplitudes with real and imaginary lanes swapped.
+    ///
+    /// # Safety
+    /// Requires AVX2 (see [`available`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cmul(re: __m256d, im: __m256d, a: __m256d, sw: __m256d) -> __m256d {
+        _mm256_addsub_pd(_mm256_mul_pd(re, a), _mm256_mul_pd(im, sw))
+    }
+
+    /// The butterfly of `super::apply_mat1_portable`, bit for bit. Like
+    /// it, walks whole `2^(q+1)` blocks and leaves a shorter tail alone.
+    ///
+    /// # Safety
+    /// Requires AVX2 (see [`available`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn apply_mat1(amps: &mut [C64], q: usize, m: &Mat2) {
+        let [[m00, m01], [m10, m11]] = m.0;
+        if q == 0 {
+            // Each butterfly is one register `[a0, a1]`: broadcast each
+            // half, and put the matrix rows in the halves, so the low half
+            // computes `m00*a0 + m01*a1` and the high half `m10*a0 +
+            // m11*a1`.
+            let c0re = _mm256_setr_pd(m00.re, m00.re, m10.re, m10.re);
+            let c0im = _mm256_setr_pd(m00.im, m00.im, m10.im, m10.im);
+            let c1re = _mm256_setr_pd(m01.re, m01.re, m11.re, m11.re);
+            let c1im = _mm256_setr_pd(m01.im, m01.im, m11.im, m11.im);
+            for pair in amps.chunks_exact_mut(2) {
+                let p = pair.as_mut_ptr().cast::<f64>();
+                let a = _mm256_loadu_pd(p);
+                let a0 = _mm256_permute2f128_pd(a, a, 0x00);
+                let a1 = _mm256_permute2f128_pd(a, a, 0x11);
+                let s0 = _mm256_permute_pd(a0, 0b0101);
+                let s1 = _mm256_permute_pd(a1, 0b0101);
+                let r = _mm256_add_pd(cmul(c0re, c0im, a0, s0), cmul(c1re, c1im, a1, s1));
+                _mm256_storeu_pd(p, r);
+            }
+            return;
+        }
+        let re = [
+            [_mm256_set1_pd(m00.re), _mm256_set1_pd(m01.re)],
+            [_mm256_set1_pd(m10.re), _mm256_set1_pd(m11.re)],
+        ];
+        let im = [
+            [_mm256_set1_pd(m00.im), _mm256_set1_pd(m01.im)],
+            [_mm256_set1_pd(m10.im), _mm256_set1_pd(m11.im)],
+        ];
+        let stride = 1usize << q;
+        for block in amps.chunks_exact_mut(stride << 1) {
+            let (clear, set) = block.split_at_mut(stride);
+            let pc = clear.as_mut_ptr().cast::<f64>();
+            let ps = set.as_mut_ptr().cast::<f64>();
+            // `stride` is even for q >= 1, so each half is a whole number
+            // of two-amplitude registers.
+            for k in (0..stride << 1).step_by(4) {
+                let a0 = _mm256_loadu_pd(pc.add(k));
+                let a1 = _mm256_loadu_pd(ps.add(k));
+                let s0 = _mm256_permute_pd(a0, 0b0101);
+                let s1 = _mm256_permute_pd(a1, 0b0101);
+                let r0 = _mm256_add_pd(
+                    cmul(re[0][0], im[0][0], a0, s0),
+                    cmul(re[0][1], im[0][1], a1, s1),
+                );
+                let r1 = _mm256_add_pd(
+                    cmul(re[1][0], im[1][0], a0, s0),
+                    cmul(re[1][1], im[1][1], a1, s1),
+                );
+                _mm256_storeu_pd(pc.add(k), r0);
+                _mm256_storeu_pd(ps.add(k), r1);
+            }
+        }
+    }
+}
+
 /// Draws `shots` samples from a discrete distribution, returning counts.
 ///
 /// The distribution is normalized defensively so that trajectory-averaged
@@ -670,5 +793,97 @@ mod tests {
             StateVector::try_amplitude_embedded(2, &[0.6, 0.8]).unwrap(),
             StateVector::amplitude_embedded(2, &[0.6, 0.8])
         );
+    }
+}
+
+/// `StateVector::apply_mat1` against a plain index loop, compared bit for
+/// bit: the SIMD kernel must round every lane exactly like scalar `C64`
+/// arithmetic, on every qubit (qubit 0 has its own in-register
+/// butterfly) and for non-unitary operators too.
+#[cfg(test)]
+mod apply_mat1_exactness {
+    use super::*;
+    use elivagar_circuit::Gate;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::f64::consts::{PI, TAU};
+
+    /// The reference butterfly: visit every index, pair it with its
+    /// partner when bit `q` is clear.
+    fn index_loop_apply(amps: &mut [C64], q: usize, m: &Mat2) {
+        let bit = 1usize << q;
+        for i in 0..amps.len() {
+            if i & bit == 0 {
+                let a0 = amps[i];
+                let a1 = amps[i | bit];
+                amps[i] = m.0[0][0] * a0 + m.0[0][1] * a1;
+                amps[i | bit] = m.0[1][0] * a0 + m.0[1][1] * a1;
+            }
+        }
+    }
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// A random state (not normalized: the kernel must not care), with
+    /// some exact zeros mixed in.
+    fn random_amps(n: usize, rng: &mut StdRng) -> Vec<C64> {
+        (0..1usize << n)
+            .map(|_| match rng.random_range(0..8) {
+                0 => C64::ZERO,
+                _ => C64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)),
+            })
+            .collect()
+    }
+
+    /// A unitary `U3`, one of the damping Kraus operators the trajectory
+    /// engine applies, or a general complex matrix.
+    fn operator(kind: u8, angles: [f64; 3], rate: f64, rng: &mut StdRng) -> Mat2 {
+        match kind % 5 {
+            0 => Gate::U3.matrix1(&angles),
+            1 => Mat2([[C64::ZERO, C64::real(rate.sqrt())], [C64::ZERO, C64::ZERO]]),
+            2 => Mat2([
+                [C64::ONE, C64::ZERO],
+                [C64::ZERO, C64::real((1.0 - rate).sqrt())],
+            ]),
+            3 => Mat2([[C64::ZERO, C64::ZERO], [C64::ZERO, C64::real(rate.sqrt())]]),
+            _ => {
+                let mut entry =
+                    || C64::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0));
+                Mat2([[entry(), entry()], [entry(), entry()]])
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn apply_mat1_matches_index_loop_bit_for_bit(
+            n in 1usize..11,
+            kind in 0u8..5,
+            theta in 0.0..PI,
+            phi in 0.0..TAU,
+            lambda in 0.0..TAU,
+            rate in 0.0..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = operator(kind, [theta, phi, lambda], rate, &mut rng);
+            let amps = random_amps(n, &mut rng);
+            for q in 0..n {
+                let mut expected = amps.clone();
+                index_loop_apply(&mut expected, q, &m);
+                let mut psi = StateVector::raw(n, amps.clone());
+                psi.apply_mat1(q, &m);
+                prop_assert_eq!(bits(psi.amplitudes()), bits(&expected), "n={} q={}", n, q);
+                let mut portable = amps.clone();
+                apply_mat1_portable(&mut portable, q, &m);
+                prop_assert_eq!(bits(&portable), bits(&expected), "portable n={} q={}", n, q);
+            }
+        }
     }
 }

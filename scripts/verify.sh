@@ -50,6 +50,18 @@ for t in 1 2 4; do
     cargo test -q -p elivagar-bench --test determinism
 done
 
+# Exact SIMD matrix: the vectorized RepCap measurement stage must equal
+# its per-pair oracle under to_bits (batched engine calls dispatch
+# through the pool), and the no-FMA kernels — StateVector::apply_mat1
+# (AVX2 and portable) and the pairwise TVD lanes — their scalar
+# references, at every pool size.
+for t in 1 2 4; do
+  ELIVAGAR_THREADS="$t" run_counted "repcap oracle differential @ $t threads" \
+    cargo test -q -p elivagar --lib repcap::tests
+  ELIVAGAR_THREADS="$t" run_counted "exact kernels @ $t threads" \
+    cargo test -q -p elivagar-sim --lib -- statevector::apply_mat1_exactness sampling::tests
+done
+
 # Result-cache differential matrix: cache off, cold, and warm must agree
 # bit-for-bit (rankings, Pareto fronts, journals) at every thread count,
 # and the corruption battery (truncation, bit flips, stale salts,
