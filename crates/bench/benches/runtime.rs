@@ -1,12 +1,10 @@
-//! Micro-benchmarks of the persistent work-stealing runtime: pooled
-//! dispatch vs the old spawn-per-call scoped threads, and the two
+//! Micro-benchmarks of the persistent work-stealing runtime on the two
 //! workloads the pool was built for — RepCap-shaped batch execution and
 //! minibatch adjoint gradients.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use elivagar_circuit::Circuit;
 use elivagar_ml::{batch_gradient, GradientMethod, QuantumClassifier};
-use elivagar_sim::parallel::{par_map, scoped_par_map};
 use elivagar_sim::Program;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,46 +25,6 @@ fn feature_batch(samples: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..samples)
         .map(|i| (0..dim).map(|j| 0.1 * (i * dim + j) as f64).collect())
         .collect()
-}
-
-/// Dispatch overhead: the same small per-item work fanned out via the
-/// persistent pool vs spawning scoped OS threads every call. The pool's
-/// win is largest exactly where search spends its time — many small
-/// batches (CNR replicas, per-candidate fan-out), not one huge one.
-fn bench_dispatch_overhead(c: &mut Criterion) {
-    let circuit = repcap_style_circuit();
-    let params: Vec<f64> = (0..circuit.num_trainable_params())
-        .map(|i| 0.05 * i as f64)
-        .collect();
-    let program = Program::compile(&circuit);
-    let bound = program.bind(&params);
-    let mut group = c.benchmark_group("dispatch_overhead");
-    for batch_size in [2usize, 4, 8] {
-        let batch = feature_batch(batch_size, 4);
-        group.bench_with_input(
-            BenchmarkId::new("pooled_par_map", batch_size),
-            &batch_size,
-            |b, _| {
-                b.iter(|| {
-                    black_box(par_map(&batch, |x| {
-                        bound.run_with(x, |psi| psi.expectation_z(0))
-                    }))
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("scoped_spawn", batch_size),
-            &batch_size,
-            |b, _| {
-                b.iter(|| {
-                    black_box(scoped_par_map(&batch, |x| {
-                        bound.run_with(x, |psi| psi.expectation_z(0))
-                    }))
-                });
-            },
-        );
-    }
-    group.finish();
 }
 
 /// RepCap's workload shape: one bound parameter vector over a 64-sample
@@ -110,6 +68,6 @@ fn bench_minibatch_gradient(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dispatch_overhead, bench_repcap_batch, bench_minibatch_gradient
+    targets = bench_repcap_batch, bench_minibatch_gradient
 }
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Records the CNR-engine trajectory point (`BENCH_cnr.json`): the
-//! per-shot tableau reference versus the bit-parallel Pauli-frame engine
+//! per-shot tableau oracle versus the bit-parallel Pauli-frame engine
 //! on the reference CNR workload — one 10-qubit Clifford replica of a
 //! search candidate on `ibmq_kolkata`, 1000 noise trajectories.
 //!
@@ -9,7 +9,8 @@
 
 use elivagar::{clifford_replica, generate_candidate, SearchConfig};
 use elivagar_device::circuit_noise;
-use elivagar_sim::{noisy_clifford_distribution, noisy_clifford_distribution_tableau};
+use elivagar_sim::noisy_clifford_distribution;
+use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -49,8 +50,8 @@ fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> (u64, u64) {
 }
 
 fn main() {
-    // The same reference candidate `bench_runtime` uses for its
-    // RepCap-shaped batch: 10 qubits, 60-parameter budget, seed 3.
+    // The same reference candidate as `bench_fusion`'s RepCap-shaped
+    // workload: 10 qubits, 60-parameter budget, seed 3.
     let device = elivagar_device::devices::ibmq_kolkata();
     let config = SearchConfig::for_task(10, 60, 4, 4);
     let mut rng = StdRng::seed_from_u64(3);

@@ -22,10 +22,8 @@ use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_device::devices::ibm_lagos;
 use elivagar_ml::{batch_gradient, GradientMethod, QuantumClassifier};
-use elivagar_sim::{
-    noisy_clifford_distribution, noisy_clifford_distribution_tableau, noisy_distribution,
-    CircuitNoise,
-};
+use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
+use elivagar_sim::{noisy_clifford_distribution, noisy_distribution, CircuitNoise};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

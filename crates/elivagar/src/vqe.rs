@@ -16,7 +16,7 @@ use crate::config::{EmbeddingPolicy, SearchConfig};
 use crate::generate::{generate_candidate, Candidate};
 use elivagar_circuit::{Circuit, Gate};
 use elivagar_device::Device;
-use elivagar_sim::{adjoint_gradient, StateVector, ZObservable};
+use elivagar_sim::{AdjointProgram, StateVector, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,14 +76,14 @@ impl TransverseFieldIsing {
     /// Energy gradient with respect to the ansatz parameters (adjoint, two
     /// passes: one per measurement setting).
     pub fn energy_gradient(&self, ansatz: &Circuit, params: &[f64]) -> (f64, Vec<f64>) {
-        let g_zz = adjoint_gradient(ansatz, params, &[], &self.zz_part());
+        let g_zz = AdjointProgram::compile(ansatz).gradient(params, &[], &self.zz_part());
         // For the X part, differentiate the circuit extended by the
         // Hadamard layer (parameter-free, so gradients map one-to-one).
         let mut extended = ansatz.clone();
         for q in 0..self.num_spins {
             extended.push_gate(Gate::H, &[q], &[]);
         }
-        let g_x = adjoint_gradient(&extended, params, &[], &self.x_part_rotated());
+        let g_x = AdjointProgram::compile(&extended).gradient(params, &[], &self.x_part_rotated());
         let energy = g_zz.expectation + g_x.expectation;
         let grad = g_zz
             .params

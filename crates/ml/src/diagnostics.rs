@@ -8,7 +8,7 @@
 //! small variance is the barren-plateau signature.
 
 use crate::model::QuantumClassifier;
-use elivagar_sim::{adjoint_gradient, ZObservable};
+use elivagar_sim::{AdjointProgram, ZObservable};
 use rand::Rng;
 
 /// Summary of a gradient-variance probe.
@@ -40,11 +40,13 @@ pub fn gradient_variance<R: Rng + ?Sized>(
     assert!(p > 0, "model has no trainable parameters");
     let mut sums = vec![0.0; p];
     let mut sq_sums = vec![0.0; p];
+    // Only parameter gradients are read, so feature slots are skipped.
+    let adjoint = AdjointProgram::compile_params_only(model.circuit());
     for _ in 0..num_samples {
         let theta: Vec<f64> = (0..p)
             .map(|_| rng.random_range(-std::f64::consts::PI..std::f64::consts::PI))
             .collect();
-        let g = adjoint_gradient(model.circuit(), &theta, features, observable);
+        let g = adjoint.gradient(&theta, features, observable);
         for (k, &gi) in g.params.iter().enumerate() {
             sums[k] += gi;
             sq_sums[k] += gi * gi;

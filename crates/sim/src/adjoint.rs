@@ -12,7 +12,7 @@ use crate::engine;
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
-use elivagar_circuit::{Circuit, Gate, Instruction, ParamExpr, ParamSource};
+use elivagar_circuit::{Circuit, Gate, ParamExpr, ParamSource};
 
 /// A weighted sum of single-qubit Pauli-Z terms, `O = sum_k w_k Z_{q_k}`.
 ///
@@ -100,18 +100,24 @@ impl ZObservable {
         single + coupled + self.offset
     }
 
+    /// Asserts that every single-Z and ZZ term acts on a qubit below
+    /// `num_qubits`.
+    fn check_qubits(&self, num_qubits: usize) {
+        for &(q, _) in &self.terms {
+            assert!(q < num_qubits, "observable qubit {q} out of range");
+        }
+        for &(a, b, _) in &self.zz_terms {
+            assert!(a < num_qubits && b < num_qubits, "zz qubit out of range");
+        }
+    }
+
     /// Applies the (diagonal) observable to a state: `|out> = O |psi>`.
     ///
     /// # Panics
     ///
-    /// Panics if a term's qubit is out of range.
+    /// Panics if a term's qubit (single-Z or ZZ) is out of range.
     pub fn apply(&self, psi: &StateVector) -> StateVector {
-        for &(q, _) in &self.terms {
-            assert!(q < psi.num_qubits(), "observable qubit {q} out of range");
-        }
-        for &(a, b, _) in &self.zz_terms {
-            assert!(a < psi.num_qubits() && b < psi.num_qubits(), "zz qubit out of range");
-        }
+        self.check_qubits(psi.num_qubits());
         let amps: Vec<C64> = psi
             .amplitudes()
             .iter()
@@ -127,21 +133,21 @@ impl ZObservable {
     ///
     /// # Panics
     ///
-    /// Panics if a term's qubit is out of range.
+    /// Panics if a term's qubit (single-Z or ZZ) is out of range.
     pub fn apply_in_place(&self, psi: &mut StateVector) {
-        for &(q, _) in &self.terms {
-            assert!(q < psi.num_qubits(), "observable qubit {q} out of range");
-        }
-        for &(a, b, _) in &self.zz_terms {
-            assert!(a < psi.num_qubits() && b < psi.num_qubits(), "zz qubit out of range");
-        }
+        self.check_qubits(psi.num_qubits());
         for (i, a) in psi.amps_mut().iter_mut().enumerate() {
             *a = a.scale(self.eigenvalue(i));
         }
     }
 
     /// Expectation value `<psi|O|psi>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term's qubit (single-Z or ZZ) is out of range.
     pub fn expectation(&self, psi: &StateVector) -> f64 {
+        self.check_qubits(psi.num_qubits());
         psi.amplitudes()
             .iter()
             .enumerate()
@@ -170,7 +176,7 @@ pub struct Gradients {
 const MATRIX_DIFF_STEP: f64 = 1e-6;
 
 #[allow(clippy::needless_range_loop)]
-fn dmat1(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat2 {
+pub(crate) fn dmat1(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat2 {
     let mut plus = [0.0f64; 3];
     let mut minus = [0.0f64; 3];
     plus[..values.len()].copy_from_slice(values);
@@ -189,7 +195,7 @@ fn dmat1(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat2 {
 }
 
 #[allow(clippy::needless_range_loop)]
-fn dmat2(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat4 {
+pub(crate) fn dmat2(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat4 {
     let mut plus = [0.0f64; 3];
     let mut minus = [0.0f64; 3];
     plus[..values.len()].copy_from_slice(values);
@@ -207,151 +213,9 @@ fn dmat2(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat4 {
     Mat4(out)
 }
 
-/// Computes `<psi|O|psi>` and its gradient with respect to every trainable
-/// parameter and input feature by the adjoint method.
-///
-/// The same trainable index may appear in several gates (weight sharing, as
-/// in SuperCircuits); contributions accumulate.
-///
-/// # Panics
-///
-/// Panics if the circuit references out-of-range parameters/features, or if
-/// an observable qubit is out of range.
-pub fn adjoint_gradient(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    observable: &ZObservable,
-) -> Gradients {
-    let mut out = Gradients {
-        expectation: 0.0,
-        params: Vec::new(),
-        features: Vec::new(),
-    };
-    adjoint_gradient_into(circuit, params, features, observable, &mut out);
-    out
-}
-
-/// Resolves a gate's parameter expressions into a stack array (the hot
-/// path avoids the `Vec` that [`Instruction::resolve_params`] allocates).
-#[inline]
-fn resolve_stack(ins: &Instruction, params: &[f64], features: &[f64]) -> [f64; 3] {
-    let mut values = [0.0f64; 3];
-    for (v, e) in values.iter_mut().zip(&ins.params) {
-        *v = e.resolve(params, features);
-    }
-    values
-}
-
-/// [`adjoint_gradient`] writing into a caller-provided [`Gradients`].
-///
-/// All scratch states come from the per-thread [`workspace`] pools and the
-/// output vectors are cleared and refilled in place, so a warmed-up call
-/// performs no heap allocation. Results are bit-identical to
-/// [`adjoint_gradient`] (which is now a thin wrapper around this).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`adjoint_gradient`].
-pub fn adjoint_gradient_into(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    observable: &ZObservable,
-    out: &mut Gradients,
-) {
-    // Forward pass, mirroring `StateVector::run` on recycled buffers.
-    let mut psi = if circuit.amplitude_embedding() {
-        workspace::acquire_embedded(circuit.num_qubits(), features)
-    } else {
-        workspace::acquire_zero(circuit.num_qubits())
-    };
-    for ins in circuit.instructions() {
-        let values = resolve_stack(ins, params, features);
-        if ins.gate.num_qubits() == 1 {
-            psi.apply_mat1(ins.qubits[0], &ins.gate.matrix1(&values[..ins.params.len()]));
-        } else {
-            psi.apply_mat2(
-                ins.qubits[0],
-                ins.qubits[1],
-                &ins.gate.matrix2(&values[..ins.params.len()]),
-            );
-        }
-    }
-
-    out.expectation = observable.expectation(&psi);
-    let mut lambda = workspace::acquire_copy(&psi);
-    observable.apply_in_place(&mut lambda);
-    out.params.clear();
-    out.params.resize(params.len(), 0.0);
-    out.features.clear();
-    out.features.resize(features.len(), 0.0);
-    let mut phi = workspace::acquire_copy(&psi);
-
-    for ins in circuit.instructions().iter().rev() {
-        let values = resolve_stack(ins, params, features);
-        let values = &values[..ins.params.len()];
-        // psi_{k-1} = U_k^dagger psi_k.
-        if ins.gate.num_qubits() == 1 {
-            let ud = ins.gate.matrix1(values).dagger();
-            psi.apply_mat1(ins.qubits[0], &ud);
-        } else {
-            let ud = ins.gate.matrix2(values).dagger();
-            psi.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
-        }
-        // Gradient terms: 2 Re <lambda_k | dU_k | psi_{k-1}>.
-        for (slot, expr) in ins.params.iter().enumerate() {
-            let mut sinks = [(SinkKind::Param(0), 0.0); 2];
-            let num_sinks = match expr.source {
-                ParamSource::Trainable(i) => {
-                    sinks[0] = (SinkKind::Param(i), expr.scale);
-                    1
-                }
-                ParamSource::Feature(i) => {
-                    sinks[0] = (SinkKind::Feature(i), expr.scale);
-                    1
-                }
-                ParamSource::FeatureProduct(i, j) => {
-                    sinks[0] = (SinkKind::Feature(i), expr.scale * features[j]);
-                    sinks[1] = (SinkKind::Feature(j), expr.scale * features[i]);
-                    2
-                }
-                ParamSource::Constant(_) => 0,
-            };
-            if num_sinks == 0 {
-                continue;
-            }
-            phi.copy_from(&psi);
-            if ins.gate.num_qubits() == 1 {
-                phi.apply_mat1(ins.qubits[0], &dmat1(ins.gate, values, slot));
-            } else {
-                phi.apply_mat2(ins.qubits[0], ins.qubits[1], &dmat2(ins.gate, values, slot));
-            }
-            let g = 2.0 * lambda.inner_product(&phi).re;
-            for &(sink, chain) in &sinks[..num_sinks] {
-                match sink {
-                    SinkKind::Param(i) => out.params[i] += g * chain,
-                    SinkKind::Feature(i) => out.features[i] += g * chain,
-                }
-            }
-        }
-        // lambda_{k-1} = U_k^dagger lambda_k.
-        if ins.gate.num_qubits() == 1 {
-            let ud = ins.gate.matrix1(values).dagger();
-            lambda.apply_mat1(ins.qubits[0], &ud);
-        } else {
-            let ud = ins.gate.matrix2(values).dagger();
-            lambda.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
-        }
-    }
-
-    workspace::release_state(phi);
-    workspace::release_state(lambda);
-    workspace::release_state(psi);
-}
-
+/// Where one gradient term accumulates.
 #[derive(Clone, Copy)]
-enum SinkKind {
+pub(crate) enum SinkKind {
     Param(usize),
     Feature(usize),
 }
@@ -472,13 +336,14 @@ impl AdjointProgram {
     /// `prepare` receives the final forward state and a mutable borrow of
     /// the observable; classifier losses use it to compute per-class
     /// expectations / loss weights from `psi` and rebuild the effective
-    /// observable in place (via [`ZObservable::reset_terms`]) — the
-    /// separate forward execution the old path needed for that disappears.
-    /// Whatever `prepare` returns is returned to the caller.
+    /// observable in place (via [`ZObservable::reset_terms`]), so no
+    /// separate forward execution is needed for the loss. Whatever
+    /// `prepare` returns is returned to the caller.
     ///
     /// After `prepare`, `out.expectation` is set to `<psi|O|psi>` for the
     /// (possibly updated) observable and `out.params` / `out.features`
-    /// receive the gradients, exactly as [`adjoint_gradient_into`].
+    /// receive the gradients, exactly as [`AdjointProgram::gradient_into`]
+    /// would compute them for that observable.
     ///
     /// # Panics
     ///
@@ -492,19 +357,67 @@ impl AdjointProgram {
         prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
         out: &mut Gradients,
     ) -> T {
-        let parallel = self.num_qubits >= engine::AMPLITUDE_PAR_MIN_QUBITS;
-        // Forward pass: the exact `Program::run` execution — fused blocks,
-        // angles-known re-fusion of dynamic stretches, cache-blocked
-        // sweeps — so the state handed to `prepare` is bit-identical to a
-        // plain forward execute.
+        let psi = self.forward_sweep(params, features);
+        let result = prepare(&psi, observable);
+        self.backward_sweep(psi, params, features, observable, out);
+        result
+    }
+
+    /// Streamed-adjoint gradient of a fixed observable into a
+    /// caller-provided [`Gradients`]; a warmed-up call performs no heap
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as
+    /// [`AdjointProgram::run_adjoint_with`].
+    pub fn gradient_into(
+        &self,
+        params: &[f64],
+        features: &[f64],
+        observable: &ZObservable,
+        out: &mut Gradients,
+    ) {
+        let psi = self.forward_sweep(params, features);
+        self.backward_sweep(psi, params, features, observable, out);
+    }
+
+    /// Allocating convenience wrapper over [`AdjointProgram::gradient_into`].
+    pub fn gradient(&self, params: &[f64], features: &[f64], observable: &ZObservable) -> Gradients {
+        let mut out = Gradients {
+            expectation: 0.0,
+            params: Vec::new(),
+            features: Vec::new(),
+        };
+        self.gradient_into(params, features, observable, &mut out);
+        out
+    }
+
+    /// The forward sweep: the exact `Program::run` execution — fused
+    /// blocks, angles-known re-fusion of dynamic stretches, cache-blocked
+    /// sweeps — into a workspace state, so the state the backward sweep
+    /// (and `prepare`) sees is bit-identical to a plain forward execute.
+    fn forward_sweep(&self, params: &[f64], features: &[f64]) -> StateVector {
         let mut psi = if self.amplitude_embedding {
             workspace::acquire_embedded(self.num_qubits, features)
         } else {
             workspace::acquire_zero(self.num_qubits)
         };
         engine::apply_ops(&mut psi, &self.forward, self.num_qubits, params, features);
+        psi
+    }
 
-        let result = prepare(&psi, observable);
+    /// The backward sweep from the forward state `psi`, which it consumes
+    /// and returns to the workspace.
+    fn backward_sweep(
+        &self,
+        mut psi: StateVector,
+        params: &[f64],
+        features: &[f64],
+        observable: &ZObservable,
+        out: &mut Gradients,
+    ) {
+        let parallel = self.num_qubits >= engine::AMPLITUDE_PAR_MIN_QUBITS;
         out.expectation = observable.expectation(&psi);
         let mut lambda = workspace::acquire_copy(&psi);
         observable.apply_in_place(&mut lambda);
@@ -577,32 +490,6 @@ impl AdjointProgram {
 
         workspace::release_state(lambda);
         workspace::release_state(psi);
-        result
-    }
-
-    /// Streamed-adjoint gradient into a caller-provided [`Gradients`]
-    /// (the fixed-observable convenience over
-    /// [`AdjointProgram::run_adjoint_with`]).
-    pub fn gradient_into(
-        &self,
-        params: &[f64],
-        features: &[f64],
-        observable: &ZObservable,
-        out: &mut Gradients,
-    ) {
-        let mut obs = observable.clone();
-        self.run_adjoint_with(params, features, &mut obs, |_, _| (), out);
-    }
-
-    /// Allocating convenience wrapper over [`AdjointProgram::gradient_into`].
-    pub fn gradient(&self, params: &[f64], features: &[f64], observable: &ZObservable) -> Gradients {
-        let mut out = Gradients {
-            expectation: 0.0,
-            params: Vec::new(),
-            features: Vec::new(),
-        };
-        self.gradient_into(params, features, observable, &mut out);
-        out
     }
 }
 
@@ -611,7 +498,7 @@ impl AdjointProgram {
 /// `feature_grads` off, feature-sourced expressions yield no sinks so the
 /// caller skips their bilinear pass entirely.
 #[inline]
-fn classify_sinks(
+pub(crate) fn classify_sinks(
     expr: &ParamExpr,
     features: &[f64],
     feature_grads: bool,
@@ -635,8 +522,9 @@ fn classify_sinks(
     }
 }
 
+/// Adds the gradient term `g`, chain-rule scaled, to every sink.
 #[inline]
-fn accumulate_sinks(sinks: &[(SinkKind, f64)], g: f64, out: &mut Gradients) {
+pub(crate) fn accumulate_sinks(sinks: &[(SinkKind, f64)], g: f64, out: &mut Gradients) {
     for &(sink, chain) in sinks {
         match sink {
             SinkKind::Param(i) => out.params[i] += g * chain,
@@ -648,7 +536,22 @@ fn accumulate_sinks(sinks: &[(SinkKind, f64)], g: f64, out: &mut Gradients) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::adjoint_gradient;
     use elivagar_circuit::{Circuit, Gate, ParamExpr};
+
+    /// The production streamed adjoint and the reference oracle, labelled;
+    /// the analytic and finite-difference tests hold for both.
+    fn both_gradients(
+        c: &Circuit,
+        params: &[f64],
+        features: &[f64],
+        obs: &ZObservable,
+    ) -> [(&'static str, Gradients); 2] {
+        [
+            ("streamed", AdjointProgram::compile(c).gradient(params, features, obs)),
+            ("oracle", adjoint_gradient(c, params, features, obs)),
+        ]
+    }
 
     fn finite_difference_param(
         circuit: &Circuit,
@@ -673,9 +576,10 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::trainable(0)]);
         let theta = 0.9;
-        let g = adjoint_gradient(&c, &[theta], &[], &ZObservable::z(0));
-        assert!((g.expectation - theta.cos()).abs() < 1e-10);
-        assert!((g.params[0] + theta.sin()).abs() < 1e-8, "{}", g.params[0]);
+        for (name, g) in both_gradients(&c, &[theta], &[], &ZObservable::z(0)) {
+            assert!((g.expectation - theta.cos()).abs() < 1e-10, "{name}");
+            assert!((g.params[0] + theta.sin()).abs() < 1e-8, "{name}: {}", g.params[0]);
+        }
     }
 
     #[test]
@@ -697,14 +601,15 @@ mod tests {
         c.push_gate(Gate::Rzz, &[0, 2], &[ParamExpr::trainable(5)]);
         let params = [0.3, -0.8, 1.2, 0.5, -0.4, 0.7];
         let obs = ZObservable::new(vec![(0, 0.5), (2, -1.25)]);
-        let g = adjoint_gradient(&c, &params, &[], &obs);
-        for i in 0..params.len() {
-            let fd = finite_difference_param(&c, &params, &[], &obs, i);
-            assert!(
-                (g.params[i] - fd).abs() < 1e-6,
-                "param {i}: adjoint {} vs fd {fd}",
-                g.params[i]
-            );
+        for (name, g) in both_gradients(&c, &params, &[], &obs) {
+            for i in 0..params.len() {
+                let fd = finite_difference_param(&c, &params, &[], &obs, i);
+                assert!(
+                    (g.params[i] - fd).abs() < 1e-6,
+                    "{name} param {i}: adjoint {} vs fd {fd}",
+                    g.params[i]
+                );
+            }
         }
     }
 
@@ -716,8 +621,9 @@ mod tests {
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::trainable(0)]);
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::trainable(0)]);
         let theta = 0.4;
-        let g = adjoint_gradient(&c, &[theta], &[], &ZObservable::z(0));
-        assert!((g.params[0] + 2.0 * (2.0 * theta).sin()).abs() < 1e-8);
+        for (name, g) in both_gradients(&c, &[theta], &[], &ZObservable::z(0)) {
+            assert!((g.params[0] + 2.0 * (2.0 * theta).sin()).abs() < 1e-8, "{name}");
+        }
     }
 
     #[test]
@@ -726,8 +632,9 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::feature(0)]);
         let x = [0.6];
-        let g = adjoint_gradient(&c, &[], &x, &ZObservable::z(0));
-        assert!((g.features[0] + x[0].sin()).abs() < 1e-8);
+        for (name, g) in both_gradients(&c, &[], &x, &ZObservable::z(0)) {
+            assert!((g.features[0] + x[0].sin()).abs() < 1e-8, "{name}");
+        }
     }
 
     #[test]
@@ -735,21 +642,23 @@ mod tests {
         // RZZ-free check: RX(x0 * x1)|0>: d<Z>/dx0 = -x1 sin(x0 x1).
         let mut c = Circuit::new(1);
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::feature_product(0, 1)]);
-        let x = [0.5, 0.8];
-        let g = adjoint_gradient(&c, &[], &x, &ZObservable::z(0));
+        let x = [0.5f64, 0.8];
         let expected0 = -x[1] * (x[0] * x[1]).sin();
         let expected1 = -x[0] * (x[0] * x[1]).sin();
-        assert!((g.features[0] - expected0).abs() < 1e-8);
-        assert!((g.features[1] - expected1).abs() < 1e-8);
+        for (name, g) in both_gradients(&c, &[], &x, &ZObservable::z(0)) {
+            assert!((g.features[0] - expected0).abs() < 1e-8, "{name}");
+            assert!((g.features[1] - expected1).abs() < 1e-8, "{name}");
+        }
     }
 
     #[test]
     fn constant_params_produce_no_gradient() {
         let mut c = Circuit::new(1);
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::constant(0.4)]);
-        let g = adjoint_gradient(&c, &[], &[], &ZObservable::z(0));
-        assert!(g.params.is_empty());
-        assert!((g.expectation - 0.4f64.cos()).abs() < 1e-10);
+        for (name, g) in both_gradients(&c, &[], &[], &ZObservable::z(0)) {
+            assert!(g.params.is_empty(), "{name}");
+            assert!((g.expectation - 0.4f64.cos()).abs() < 1e-10, "{name}");
+        }
     }
 
     #[test]
@@ -775,9 +684,10 @@ mod tests {
         c.push_gate(Gate::Rx, &[0], &[ParamExpr::trainable(0)]);
         let obs = ZObservable::new(vec![]).with_zz(0, 1, 1.0);
         let theta = 0.8;
-        let g = adjoint_gradient(&c, &[theta], &[], &obs);
-        assert!((g.expectation - theta.cos()).abs() < 1e-10);
-        assert!((g.params[0] + theta.sin()).abs() < 1e-8);
+        for (name, g) in both_gradients(&c, &[theta], &[], &obs) {
+            assert!((g.expectation - theta.cos()).abs() < 1e-10, "{name}");
+            assert!((g.params[0] + theta.sin()).abs() < 1e-8, "{name}");
+        }
     }
 
     #[test]
@@ -888,5 +798,17 @@ mod tests {
         let applied = obs.apply(&psi);
         let via_inner = psi.inner_product(&applied).re;
         assert!((via_inner - obs.expectation(&psi)).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "observable qubit 3 out of range")]
+    fn expectation_rejects_out_of_range_qubits() {
+        let _ = ZObservable::z(3).expectation(&StateVector::zero(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "zz qubit out of range")]
+    fn expectation_rejects_out_of_range_zz_qubits() {
+        let _ = ZObservable::new(vec![]).with_zz(0, 2, 1.0).expectation(&StateVector::zero(2));
     }
 }

@@ -1,7 +1,8 @@
 //! Bit-parallel Pauli-frame trajectory engine for noisy Clifford circuits.
 //!
-//! The tableau trajectory path behind CNR re-simulates the full
-//! Aaronson–Gottesman tableau from `|0...0>` for every noisy shot —
+//! The per-shot tableau trajectory path (the test oracle
+//! [`crate::oracle::noisy_clifford_distribution_tableau`]) re-simulates
+//! the full Aaronson–Gottesman tableau from `|0...0>` for every noisy shot —
 //! O(gates × n) row sweeps per trajectory, plus a branch-tree enumeration
 //! of the measurement distribution per shot. But injected Pauli errors
 //! never change a tableau's X/Z parts, only its row *signs*: the noisy
@@ -150,7 +151,8 @@ enum FrameStep {
     /// A Pauli noise site with cumulative thresholds: a uniform draw `u`
     /// injects X when `u < tx`, Y when `tx <= u < txy`, Z when
     /// `txy <= u < txyz` — the same comparison ladder (and therefore the
-    /// same floats) as the tableau path's `inject_pauli_tableau`.
+    /// same floats) as the tableau oracle's
+    /// [`crate::oracle::inject_pauli_tableau`].
     Inject { qubit: u32, tx: f64, txy: f64, txyz: f64 },
 }
 

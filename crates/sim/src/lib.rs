@@ -4,7 +4,8 @@
 //! crate provides everything those need, built from scratch:
 //!
 //! * [`StateVector`] — dense noiseless simulation (training, RepCap);
-//! * [`adjoint`] — O(1)-sweep gradients, the classical "backprop" analog;
+//! * [`adjoint`] — O(1)-sweep gradients, the classical "backprop" analog,
+//!   streamed through the fused engine ([`AdjointProgram`]);
 //! * [`stabilizer`] + [`clifford`] — Aaronson–Gottesman tableau simulation
 //!   of Clifford circuits (the engine behind the CNR predictor);
 //! * [`noise`] — Pauli / damping / readout channel descriptions;
@@ -25,14 +26,18 @@
 //!   results are bit-for-bit identical at any thread count;
 //! * [`workspace`] — per-thread arenas recycling state-vector and
 //!   scratch buffers, so the steady-state per-sample execute/gradient
-//!   path ([`Program::run_with`], [`adjoint_gradient_into`]) performs
-//!   zero heap allocations;
+//!   path ([`Program::run_with`], [`AdjointProgram::gradient_into`])
+//!   performs zero heap allocations;
 //! * [`cancel`] — [`CancelToken`], the cooperative cancellation handle
 //!   long-running pipelines poll at slice/epoch boundaries (explicit
 //!   cancel or wall-clock deadline);
 //! * [`faultpoint`] — deterministic, seed-driven fault-injection sites
 //!   (panics, NaNs, torn file writes) compiled in only under tests or the
-//!   `fault-injection` feature, driving the chaos suite.
+//!   `fault-injection` feature, driving the chaos suite;
+//! * [`oracle`] — the plain reference implementations (walk-the-circuit
+//!   adjoint, per-shot tableau trajectories) that tests and benches
+//!   compare the production paths against. Production code never calls
+//!   them, and the crate root re-exports none of them.
 //!
 //! # The compile → fuse → batch-execute pipeline
 //!
@@ -88,6 +93,7 @@ pub mod engine;
 pub mod faultpoint;
 pub mod frame;
 pub mod noise;
+pub mod oracle;
 pub mod parallel;
 pub mod runtime;
 pub mod sampling;
@@ -96,14 +102,11 @@ pub mod statevector;
 pub mod trajectory;
 pub mod workspace;
 
-pub use adjoint::{adjoint_gradient, adjoint_gradient_into, AdjointProgram, Gradients, ZObservable};
+pub use adjoint::{AdjointProgram, Gradients, ZObservable};
 pub use backend::{
     Backend, DensityMatrixBackend, StateVectorBackend, TrajectoryBackend,
 };
-pub use engine::{
-    fusion_enabled, par_items_with_arena, set_fusion_enabled, BoundProgram, MultiItem,
-    MultiProgram, Program, TILE_QUBITS,
-};
+pub use engine::{par_items_with_arena, BoundProgram, MultiItem, MultiProgram, Program, TILE_QUBITS};
 pub use cancel::CancelToken;
 pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};
 pub use density::DensityMatrix;
@@ -117,7 +120,4 @@ pub use frame::{
     noisy_clifford_distribution_frames, noisy_clifford_distribution_frames_with_ideal,
     FrameDistributions, FrameSimulator, FrameWords, DEFAULT_FRAME_WORDS, FRAME_LANES,
 };
-pub use trajectory::{
-    noisy_clifford_distribution, noisy_clifford_distribution_tableau, noisy_distribution,
-    noisy_distribution_auto,
-};
+pub use trajectory::{noisy_clifford_distribution, noisy_distribution, noisy_distribution_auto};

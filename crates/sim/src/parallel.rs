@@ -117,38 +117,6 @@ where
     par_map_index(items.len(), |i| f(&items[i]))
 }
 
-/// The pre-pool implementation of [`par_map`]: spawns and joins scoped OS
-/// threads on every call. Kept as the dispatch-overhead baseline for the
-/// `runtime` criterion bench; production code uses the pooled [`par_map`].
-pub fn scoped_par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.len().max(1));
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|o| o.expect("worker filled slot")).collect()
-}
-
 /// Splits `data` into contiguous blocks of `block` elements and applies
 /// `f` to each, spreading blocks across the pool.
 ///
@@ -240,11 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_scoped_maps_agree() {
+    fn pooled_and_sequential_maps_agree() {
         let items: Vec<u64> = (0..257).collect();
         let pooled = par_map(&items, |&x| x * x + 1);
-        let scoped = scoped_par_map(&items, |&x| x * x + 1);
-        assert_eq!(pooled, scoped);
+        let sequential: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        assert_eq!(pooled, sequential);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! same for Clifford circuits with Pauli-twirled noise, which is what the
 //! CNR predictor executes.
 
-use crate::clifford::{lower_instruction, LowerCliffordError};
+use crate::clifford::LowerCliffordError;
 use crate::noise::{apply_readout_error, CircuitNoise, DampingError, PauliError};
 use crate::parallel::par_map_index;
 use crate::runtime::TaskSeeds;
-use crate::stabilizer::{CliffordOp, Tableau};
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2};
@@ -22,7 +21,7 @@ use rand::Rng;
 /// boundaries — and the per-shot RNG streams, which are split by shot
 /// index — do not depend on the thread count, so the averaged distribution
 /// is bit-for-bit identical however the chunks land on workers.
-const SHOT_CHUNK: usize = 32;
+pub(crate) const SHOT_CHUNK: usize = 32;
 
 /// Applies one stochastically selected Pauli error to a state-vector qubit.
 fn apply_pauli_sample<R: Rng + ?Sized>(
@@ -194,42 +193,15 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
     apply_readout_error(&acc, &noise.readout)
 }
 
-/// Injects a sampled Pauli error into a tableau as direct sign-flip ops
-/// ([`CliffordOp::X`]/[`CliffordOp::Z`]; a Y error is X then Z). Public so
-/// the differential suite can replay the exact per-trajectory tableau
-/// stream the frame engine must match.
-pub fn inject_pauli_tableau<R: Rng + ?Sized>(
-    t: &mut Tableau,
-    q: usize,
-    e: &PauliError,
-    rng: &mut R,
-) {
-    let u: f64 = rng.random();
-    let (x, z) = if u < e.px {
-        (true, false)
-    } else if u < e.px + e.py {
-        (true, true)
-    } else if u < e.px + e.py + e.pz {
-        (false, true)
-    } else {
-        return;
-    };
-    if x {
-        t.apply(CliffordOp::X(q));
-    }
-    if z {
-        t.apply(CliffordOp::Z(q));
-    }
-}
-
 /// Average output distribution of a noisy *Clifford* circuit over
 /// stabilizer trajectories with Pauli-twirled noise, including readout
 /// error. This is the execution engine behind CNR.
 ///
 /// Executed by the bit-parallel Pauli-frame engine
 /// ([`crate::frame::noisy_clifford_distribution_frames`]), which is
-/// bit-for-bit equal to the per-shot tableau path
-/// ([`noisy_clifford_distribution_tableau`]) under the same `rng` state —
+/// bit-for-bit equal to the per-shot tableau oracle
+/// ([`crate::oracle::noisy_clifford_distribution_tableau`]) under the same
+/// `rng` state —
 /// asserted per trajectory by `crates/sim/tests/frame_vs_tableau.rs` —
 /// and independent of the thread count.
 ///
@@ -257,84 +229,6 @@ pub fn noisy_clifford_distribution<R: Rng + ?Sized>(
         num_trajectories,
         rng,
     )
-}
-
-/// The per-shot tableau implementation of [`noisy_clifford_distribution`]:
-/// every trajectory replays the full tableau and enumerates its own
-/// measurement distribution. Superseded by the frame engine as the
-/// production path; kept as the reference the differential suite and
-/// `bench_cnr` compare against.
-///
-/// # Errors
-///
-/// Returns [`LowerCliffordError`] if the circuit (with the given parameter
-/// values) is not Clifford.
-///
-/// # Panics
-///
-/// Panics under the same shape mismatches as [`noisy_distribution`].
-pub fn noisy_clifford_distribution_tableau<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    noise: &CircuitNoise,
-    num_trajectories: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, LowerCliffordError> {
-    assert!(!circuit.measured().is_empty(), "circuit measures no qubits");
-    assert!(num_trajectories > 0, "need at least one trajectory");
-    assert_eq!(noise.per_instruction.len(), circuit.len(), "noise length mismatch");
-    assert_eq!(noise.readout.len(), circuit.measured().len(), "readout length mismatch");
-
-    // Lower every instruction once up front.
-    let mut lowered = Vec::with_capacity(circuit.len());
-    for ins in circuit.instructions() {
-        let values = ins.resolve_params(params, features);
-        lowered.push(lower_instruction(ins, &values)?);
-    }
-    let pauli_only: Vec<Vec<PauliError>> = noise
-        .per_instruction
-        .iter()
-        .map(|n| n.as_pauli_only())
-        .collect();
-
-    let dim = 1usize << circuit.measured().len();
-    let seeds = TaskSeeds::from_rng(rng);
-    let partials = par_map_index(num_trajectories.div_ceil(SHOT_CHUNK), |c| {
-        let mut acc = vec![0.0; dim];
-        let mut dist = workspace::acquire_real_buffer();
-        let mut t = workspace::acquire_tableau(circuit.num_qubits());
-        let end = ((c + 1) * SHOT_CHUNK).min(num_trajectories);
-        for shot in c * SHOT_CHUNK..end {
-            let mut shot_rng = seeds.rng(shot);
-            t.reset(circuit.num_qubits());
-            for ((ins, ops), errs) in
-                circuit.instructions().iter().zip(&lowered).zip(&pauli_only)
-            {
-                t.apply_all(ops);
-                for (k, &q) in ins.qubits.iter().enumerate() {
-                    inject_pauli_tableau(&mut t, q, &errs[k], &mut shot_rng);
-                }
-            }
-            t.measurement_distribution_into(circuit.measured(), &mut dist);
-            for (a, d) in acc.iter_mut().zip(&dist) {
-                *a += d;
-            }
-        }
-        workspace::release_tableau(t);
-        workspace::release_real_buffer(dist);
-        acc
-    });
-    let mut acc = vec![0.0; dim];
-    for partial in &partials {
-        for (a, p) in acc.iter_mut().zip(partial) {
-            *a += p;
-        }
-    }
-    for a in &mut acc {
-        *a /= num_trajectories as f64;
-    }
-    Ok(apply_readout_error(&acc, &noise.readout))
 }
 
 /// [`noisy_distribution`] through the fastest applicable engine: when the
@@ -442,27 +336,6 @@ mod tests {
             noisy_clifford_distribution(&c, &[], &[], &noise, 6000, &mut rng1).unwrap();
         let d_sv = noisy_distribution(&c, &[], &[], &noise, 6000, &mut rng2);
         assert!(tvd(&d_cliff, &d_sv) < 0.03, "{d_cliff:?} vs {d_sv:?}");
-    }
-
-    #[test]
-    fn frame_and_tableau_clifford_engines_agree_bit_for_bit() {
-        let mut c = Circuit::new(2);
-        c.push_gate(Gate::H, &[0], &[]);
-        c.push_gate(Gate::Rx, &[1], &[ParamExpr::constant(PI / 2.0)]);
-        c.push_gate(Gate::Cz, &[0, 1], &[]);
-        c.set_measured(vec![0, 1]);
-        let noise = CircuitNoise::uniform(&[1, 1, 2], 2, 0.02, 0.05, 0.01);
-        let frame = noisy_clifford_distribution(
-            &c, &[], &[], &noise, 97, &mut StdRng::seed_from_u64(8),
-        )
-        .unwrap();
-        let tableau = noisy_clifford_distribution_tableau(
-            &c, &[], &[], &noise, 97, &mut StdRng::seed_from_u64(8),
-        )
-        .unwrap();
-        for (a, b) in frame.iter().zip(&tableau) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{frame:?} vs {tableau:?}");
-        }
     }
 
     #[test]

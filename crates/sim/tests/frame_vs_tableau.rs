@@ -1,11 +1,11 @@
 //! Differential suite: the bit-parallel Pauli-frame engine versus the
-//! per-shot tableau reference, over random Clifford circuits.
+//! per-shot tableau oracle, over random Clifford circuits.
 //!
 //! Two properties pin the frame engine's exactness claim (see
 //! `frame.rs`'s module docs for the argument these tests verify):
 //!
 //! 1. **Whole-distribution equality** — `noisy_clifford_distribution`
-//!    (frame-backed) and `noisy_clifford_distribution_tableau` produce
+//!    (frame-backed) and `oracle::noisy_clifford_distribution_tableau` produce
 //!    bit-for-bit identical averaged distributions from identical RNG
 //!    seeds, for any circuit, noise strength, measured subset, and
 //!    trajectory count (including counts that straddle 64-lane block
@@ -17,10 +17,10 @@
 //!    bitwise. This is the stronger statement property 1 averages over.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_sim::trajectory::inject_pauli_tableau;
+use elivagar_sim::oracle::{inject_pauli_tableau, noisy_clifford_distribution_tableau};
 use elivagar_sim::{
-    lower_instruction, noisy_clifford_distribution, noisy_clifford_distribution_tableau,
-    CircuitNoise, FrameSimulator, Tableau, TaskSeeds,
+    lower_instruction, noisy_clifford_distribution, CircuitNoise, FrameSimulator, Tableau,
+    TaskSeeds,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;

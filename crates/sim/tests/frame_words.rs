@@ -16,7 +16,7 @@
 //!    x-mask, so wider words inherit the frame engine's exactness proof.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_sim::trajectory::inject_pauli_tableau;
+use elivagar_sim::oracle::inject_pauli_tableau;
 use elivagar_sim::{
     lower_instruction, CircuitNoise, FrameSimulator, Tableau, TaskSeeds,
 };

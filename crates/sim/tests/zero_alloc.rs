@@ -2,8 +2,8 @@
 //!
 //! Search and training execute the same small circuits millions of times;
 //! the workspace arenas and recycled fusion scratch exist so that after a
-//! short warmup, `Program::run_with` and `adjoint_gradient_into` touch the
-//! heap **zero** times per sample. This test pins that property with a
+//! short warmup, `Program::run_with` and `AdjointProgram::gradient_into`
+//! touch the heap **zero** times per sample. This test pins that property with a
 //! counting global allocator: any future change that sneaks a `Vec` or
 //! `clone` back onto the hot path fails here immediately.
 //!
@@ -14,10 +14,10 @@
 //! not per sample).
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_sim::trajectory::inject_pauli_tableau;
+use elivagar_sim::oracle::inject_pauli_tableau;
 use elivagar_sim::{
-    adjoint_gradient_into, lower_instruction, workspace, CircuitNoise, CliffordOp,
-    FrameSimulator, Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
+    lower_instruction, workspace, AdjointProgram, CircuitNoise, CliffordOp, FrameSimulator,
+    Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,6 +81,7 @@ fn hot_circuit() -> Circuit {
 fn steady_state_sample_path_does_not_allocate() {
     let circuit = hot_circuit();
     let program = Program::compile(&circuit);
+    let adjoint = AdjointProgram::compile(&circuit);
     let params = [0.3, -0.1, 0.7, 0.2, -0.5, 0.9];
     let features = [0.4, -0.8];
     let observable = ZObservable::new(vec![(0, 0.5), (1, 0.5), (2, -0.5), (3, -0.5)]);
@@ -95,7 +96,7 @@ fn steady_state_sample_path_does_not_allocate() {
     let mut acc = 0.0;
     for _ in 0..3 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
-        adjoint_gradient_into(&circuit, &params, &features, &observable, &mut grads);
+        adjoint.gradient_into(&params, &features, &observable, &mut grads);
         acc += grads.expectation;
     }
 
@@ -103,7 +104,7 @@ fn steady_state_sample_path_does_not_allocate() {
     let before = thread_allocations();
     for _ in 0..100 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
-        adjoint_gradient_into(&circuit, &params, &features, &observable, &mut grads);
+        adjoint.gradient_into(&params, &features, &observable, &mut grads);
         acc += grads.params.iter().sum::<f64>();
     }
     let delta = thread_allocations() - before;

@@ -3,8 +3,8 @@
 //!
 //! The cache-blocked executor and `AdjointProgram::run_adjoint_with` are
 //! the per-sample training hot path; after a short warmup both must touch
-//! the heap **zero** times per sample, exactly like the original
-//! `Program::run_with` / `adjoint_gradient_into` pair audited in
+//! the heap **zero** times per sample, exactly like the small-circuit
+//! `Program::run_with` / `AdjointProgram::gradient_into` pair audited in
 //! `zero_alloc.rs`. The circuit here is 13 qubits — *above*
 //! `TILE_QUBITS`, so the forward sweep actually runs the tiled per-block
 //! executor — but below the amplitude-parallelism threshold, so the whole

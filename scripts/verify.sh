@@ -125,33 +125,35 @@ if [ "$ranking_match" != "true" ]; then
   exit 1
 fi
 
-# Fused-block engine differential matrix: the ULP-bounded fused-vs-unfused
-# proptests, the --no-fuse escape hatch, and the zero-allocation
-# steady-state checks must hold at every pool size (the cache-blocked
-# sweeps and the re-fusion scratch are per-thread state).
+# Fused-block engine differential matrix: the ULP-bounded proptests of
+# the fused engine and streamed adjoint against the gate-by-gate
+# reference and the oracle adjoint, and the zero-allocation steady-state
+# checks, must hold at every pool size (the cache-blocked sweeps and the
+# re-fusion scratch are per-thread state).
 for t in 1 2 4; do
   ELIVAGAR_THREADS="$t" run_counted "fusion differential @ $t threads" \
-    cargo test -q -p elivagar-sim --test fusion_differential --test no_fuse --test zero_alloc_fusion
+    cargo test -q -p elivagar-sim --test fusion_differential --test zero_alloc_fusion
 done
 run_counted "baseline scoring cache roundtrip" \
   cargo test -q -p elivagar-baselines --test cache_roundtrip
 
-# Fused-block execution gate: the streamed adjoint must cut the
-# 32-sample minibatch gradient at least 2x against the pre-streaming
-# pipeline (a forward execute for the loss plus the reference adjoint's
-# three sweeps per parameter slot), with the per-sample loss ranking
-# unchanged — training sees the same landscape, only faster.
+# Fused-block execution gate: the 32-sample minibatch gradient must cost
+# at most 7.5x the same minibatch's forward pass plus loss (fused
+# Program::run_with fanned out over the pool, the best current forward
+# path; median of 30 alternately timed pairs), with the per-sample loss
+# ranking of the streamed gradient identical to the forward-only one.
+# The binary also asserts the mean gradient against the oracle adjoint.
 cargo build --release -p elivagar-bench --bin bench_fusion
 ./target/release/bench_fusion
-fusion_speedup="$(sed -n 's/.*"gradient_speedup":\([0-9.][0-9.]*\).*/\1/p' BENCH_fusion.json)"
+fusion_ratio="$(sed -n 's/.*"gradient_over_forward":\([0-9.][0-9.]*\).*/\1/p' BENCH_fusion.json)"
 fusion_rank="$(sed -n 's/.*"ranking_match":\(true\|false\).*/\1/p' BENCH_fusion.json)"
-echo "verify: fused-engine gradient speedup ${fusion_speedup}x (ranking_match=${fusion_rank})"
-awk -v s="$fusion_speedup" 'BEGIN { exit !(s >= 2.0) }' || {
-  echo "verify: FAIL — streamed adjoint speedup ${fusion_speedup}x below the 2x gate" >&2
+echo "verify: minibatch gradient costs ${fusion_ratio}x its forward pass (ranking_match=${fusion_rank})"
+awk -v r="$fusion_ratio" 'BEGIN { exit !(r != "" && r <= 7.5) }' || {
+  echo "verify: FAIL — minibatch gradient costs ${fusion_ratio}x its forward pass, above the 7.5x gate" >&2
   exit 1
 }
 if [ "$fusion_rank" != "true" ]; then
-  echo "verify: FAIL — streamed adjoint changed the per-sample loss ranking" >&2
+  echo "verify: FAIL — streamed gradient losses rank the minibatch differently from the forward pass" >&2
   exit 1
 fi
 

@@ -69,14 +69,25 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses an unsigned-integer flag: `Ok(None)` when absent, and a message
+/// plus exit code 1 when present but malformed.
+fn parse_u64(args: &[String], name: &str) -> Result<Option<u64>, ExitCode> {
+    match flag_value(args, name) {
+        None => Ok(None),
+        Some(v) => v.parse().map(Some).map_err(|_| {
+            eprintln!("{name} expects an unsigned integer, got {v:?}");
+            ExitCode::FAILURE
+        }),
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  elivagar-cli search --benchmark <name> --device <name> \
          [--candidates N] [--params N] [--epochs N] [--seed N] \
          [--strategy oneshot|nsga2] [--population N] [--generations N] \
          [--train-batch N] [--train-topk R] \
-         [--checkpoint FILE] [--resume FILE] [--cache DIR] [--stats] [--trace-out FILE] \
-         [--no-fuse]\n  \
+         [--checkpoint FILE] [--resume FILE] [--cache DIR] [--stats] [--trace-out FILE]\n  \
          elivagar-cli submit --spool DIR --id NAME [--benchmark <name>] [--device <name>] \
          [--tenant NAME] [--priority N] [--candidates N] [--seed N] \
          [--train-size N] [--test-size N] [--epochs N] [--slice-records N] \
@@ -88,12 +99,6 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Escape hatch for the fused-block engine: execute programs one op per
-    // instruction (also reachable via ELIVAGAR_NO_FUSE=1). Must be set
-    // before the first compile.
-    if args.iter().any(|a| a == "--no-fuse") {
-        elivagar_sim::set_fusion_enabled(false);
-    }
     match args.first().map(String::as_str) {
         Some("devices") => {
             for d in all_devices() {
@@ -130,15 +135,29 @@ fn main() -> ExitCode {
                 eprintln!("unknown device {device_name}; try `elivagar-cli devices`");
                 return ExitCode::FAILURE;
             };
-            let parse = |name: &str, default: usize| {
-                flag_value(&args, name)
-                    .map(|v| v.parse().unwrap_or(default))
-                    .unwrap_or(default)
+            // Every numeric flag is validated before any work starts.
+            let parse = |name: &str, default: usize| -> Result<usize, ExitCode> {
+                Ok(parse_u64(&args, name)?.map_or(default, |v| v as usize))
             };
-            let candidates = parse("--candidates", 24);
-            let params = parse("--params", bench.params);
-            let epochs = parse("--epochs", 60);
-            let seed = parse("--seed", 0) as u64;
+            let nsga2 = Nsga2Config::default();
+            let numbers = (|| {
+                Ok::<_, ExitCode>([
+                    parse("--candidates", 24)?,
+                    parse("--params", bench.params)?,
+                    parse("--epochs", 60)?,
+                    parse("--seed", 0)?,
+                    parse("--population", nsga2.population)?,
+                    parse("--generations", nsga2.generations)?,
+                    parse("--train-batch", 1)?,
+                    parse("--train-topk", 0)?,
+                ])
+            })();
+            let [candidates, params, epochs, seed, population, generations, cohort, rungs] =
+                match numbers {
+                    Ok(numbers) => numbers,
+                    Err(code) => return code,
+                };
+            let seed = seed as u64;
 
             let dataset = load_sized(&bench_name, seed, 400.min(bench.train), 120.min(bench.test));
             let mut config =
@@ -151,11 +170,9 @@ fn main() -> ExitCode {
             match flag_value(&args, "--strategy").as_deref() {
                 None | Some("oneshot") => {}
                 Some("nsga2") => {
-                    let defaults = Nsga2Config::default();
-                    let params = Nsga2Config::default()
-                        .with_population(parse("--population", defaults.population))
-                        .with_generations(parse("--generations", defaults.generations));
-                    config = config.with_nsga2(params);
+                    config = config.with_nsga2(
+                        nsga2.with_population(population).with_generations(generations),
+                    );
                 }
                 Some(other) => {
                     eprintln!("unknown strategy {other}; expected oneshot or nsga2");
@@ -169,8 +186,8 @@ fn main() -> ExitCode {
             let solo = TrainConfig { epochs, batch_size: 32, seed, ..Default::default() };
             if args.iter().any(|a| a == "--train-batch" || a == "--train-topk") {
                 config = config.with_train(TrainConfig {
-                    cohort: parse("--train-batch", 1).max(1),
-                    halving_rungs: parse("--train-topk", 0),
+                    cohort: cohort.max(1),
+                    halving_rungs: rungs,
                     ..solo
                 });
             }
@@ -356,15 +373,7 @@ fn main() -> ExitCode {
             // A shared cache directory lets tenants searching the same
             // device reuse each other's CNR/RepCap evaluations.
             job.cache_dir = flag_value(&args, "--cache-dir");
-            let parse_u64 = |name: &str| -> Result<Option<u64>, ExitCode> {
-                match flag_value(&args, name) {
-                    None => Ok(None),
-                    Some(v) => v.parse().map(Some).map_err(|_| {
-                        eprintln!("{name} expects an unsigned integer, got {v:?}");
-                        ExitCode::FAILURE
-                    }),
-                }
-            };
+            let parse_u64 = |name: &str| parse_u64(&args, name);
             let fields = (|| {
                 job.priority = parse_u64("--priority")?.unwrap_or(0) as u8;
                 job.candidates = parse_u64("--candidates")?.unwrap_or(4) as usize;
