@@ -25,17 +25,13 @@ pub use qtnvqc::{
     qtn_vqc_accuracy, qtn_vqc_noisy_accuracy, train_qtn_vqc, QtnVqcConfig, QtnVqcModel,
     TensorTrainLayer,
 };
-pub use quantumnas::{
-    fidelity_proxy, quantum_nas_search, quantum_nas_search_with_cache, QuantumNasConfig,
-    QuantumNasResult,
-};
+pub use quantumnas::{fidelity_proxy, quantum_nas_search, QuantumNasConfig, QuantumNasResult};
 pub use quantumnat::{
     quantumnat_noisy_accuracy, train_quantumnat, QuantumNatConfig, QuantumNatModel,
 };
 pub use simple::{human_baseline_circuits, random_baseline_circuit};
 pub use supercircuit::{Entangler, SubcircuitConfig, SuperCircuit, ROTATIONS};
-pub use supernet::{supernet_search, supernet_search_with_cache, SupernetConfig, SupernetResult};
+pub use supernet::{supernet_search, SupernetConfig, SupernetResult};
 pub use training::{
-    subcircuit_validation_loss, subcircuit_validation_loss_cached, train_supercircuit,
-    SuperTrainConfig, SuperTrainOutcome,
+    subcircuit_validation_loss, train_supercircuit, SuperTrainConfig, SuperTrainOutcome,
 };

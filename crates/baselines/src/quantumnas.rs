@@ -8,7 +8,9 @@
 //! the paper benchmarks against throughout Section 8.
 
 use crate::supercircuit::{Entangler, SubcircuitConfig, SuperCircuit};
-use crate::training::{subcircuit_validation_loss_cached, train_supercircuit, SuperTrainConfig};
+use crate::training::{
+    subcircuit_validation_loss, train_supercircuit, validation_split, SuperTrainConfig,
+};
 use elivagar_cache::CacheHandle;
 use elivagar_circuit::Circuit;
 use elivagar_compiler::route;
@@ -161,26 +163,17 @@ fn mutate<R: Rng + ?Sized>(
 /// Runs the full QuantumNAS pipeline: SuperCircuit training, then the
 /// evolutionary circuit-mapping co-search.
 ///
+/// With a `cache`, genome loss evaluation is memoized. Only the
+/// SuperCircuit validation loss is cached — the noise penalty depends on
+/// the genome's mapping and is cheap to recompute — so elitism (which
+/// re-scores surviving genomes every generation) and repeated runs replay
+/// losses bit-for-bit. A cached run returns exactly what `None` returns.
+///
 /// # Panics
 ///
 /// Panics if the dataset is empty or the device is smaller than the
 /// requested qubit count.
 pub fn quantum_nas_search(
-    device: &Device,
-    dataset: &Dataset,
-    num_qubits: usize,
-    config: &QuantumNasConfig,
-) -> QuantumNasResult {
-    quantum_nas_search_with_cache(device, dataset, num_qubits, config, None)
-}
-
-/// [`quantum_nas_search`] with genome loss evaluation routed through the
-/// result cache. Only the SuperCircuit validation loss is memoized — the
-/// noise penalty depends on the genome's mapping and is cheap to
-/// recompute — so elitism (which re-scores surviving genomes every
-/// generation) and repeated runs replay losses bit-for-bit. `None` is
-/// exactly [`quantum_nas_search`].
-pub fn quantum_nas_search_with_cache(
     device: &Device,
     dataset: &Dataset,
     num_qubits: usize,
@@ -203,22 +196,7 @@ pub fn quantum_nas_search_with_cache(
     let mut executions = trained.hardware_executions;
 
     // Validation subset for genome scoring.
-    let valid = elivagar_datasets::Split {
-        features: dataset
-            .test()
-            .features
-            .iter()
-            .take(config.valid_samples)
-            .cloned()
-            .collect(),
-        labels: dataset
-            .test()
-            .labels
-            .iter()
-            .take(config.valid_samples)
-            .copied()
-            .collect(),
-    };
+    let valid = validation_split(dataset, config.valid_samples);
 
     // Phase 2: evolutionary co-search.
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -238,7 +216,7 @@ pub fn quantum_nas_search_with_cache(
         let _gen_span = elivagar_obs::span!("quantumnas_generation", genomes = population.len());
         elivagar_obs::metrics::BASELINE_EVALS.add(population.len() as u64);
         let fitnesses = elivagar_sim::parallel::par_map(&population, |genome| {
-            let (loss, e) = subcircuit_validation_loss_cached(
+            let (loss, e) = subcircuit_validation_loss(
                 &space,
                 &genome.config,
                 &trained.shared,
@@ -312,7 +290,7 @@ mod tests {
     fn pipeline_produces_executable_circuit() {
         let device = ibm_lagos();
         let data = moons(48, 20, 7).normalized(std::f64::consts::PI);
-        let result = quantum_nas_search(&device, &data, 3, &fast_config());
+        let result = quantum_nas_search(&device, &data, 3, &fast_config(), None);
         // Physical circuit respects topology.
         for ins in result.physical_circuit.instructions() {
             if ins.qubits.len() == 2 {
@@ -353,8 +331,8 @@ mod tests {
     fn search_is_deterministic() {
         let device = ibm_lagos();
         let data = moons(32, 12, 9).normalized(std::f64::consts::PI);
-        let a = quantum_nas_search(&device, &data, 2, &fast_config());
-        let b = quantum_nas_search(&device, &data, 2, &fast_config());
+        let a = quantum_nas_search(&device, &data, 2, &fast_config(), None);
+        let b = quantum_nas_search(&device, &data, 2, &fast_config(), None);
         assert_eq!(a.circuit, b.circuit);
         assert_eq!(a.mapping, b.mapping);
     }

@@ -3,7 +3,9 @@
 //! (the structure the paper's Table 6 attributes its depth problems to).
 
 use crate::supercircuit::{Entangler, SuperCircuit};
-use crate::training::{subcircuit_validation_loss_cached, train_supercircuit, SuperTrainConfig};
+use crate::training::{
+    subcircuit_validation_loss, train_supercircuit, validation_split, SuperTrainConfig,
+};
 use elivagar_cache::CacheHandle;
 use elivagar_circuit::Circuit;
 use elivagar_datasets::Dataset;
@@ -52,24 +54,16 @@ pub struct SupernetResult {
 
 /// Runs the QuantumSupernet pipeline.
 ///
+/// With a `cache`, candidate scoring is memoized: each subcircuit
+/// evaluation is keyed on the extracted circuit, the shared parameter
+/// table, and the validation set, so re-running the search (or
+/// overlapping draws across seeds) replays losses bit-for-bit instead of
+/// re-simulating. A cached run returns exactly what `None` returns.
+///
 /// # Panics
 ///
 /// Panics if the dataset is empty or `num_samples` is zero.
 pub fn supernet_search(
-    dataset: &Dataset,
-    num_qubits: usize,
-    config: &SupernetConfig,
-) -> SupernetResult {
-    supernet_search_with_cache(dataset, num_qubits, config, None)
-}
-
-/// [`supernet_search`] with candidate scoring routed through the result
-/// cache: each subcircuit evaluation is keyed on the extracted circuit,
-/// the shared parameter table, and the validation set, so re-running the
-/// search (or overlapping draws across seeds) replays losses
-/// bit-for-bit instead of re-simulating. `None` is exactly
-/// [`supernet_search`].
-pub fn supernet_search_with_cache(
     dataset: &Dataset,
     num_qubits: usize,
     config: &SupernetConfig,
@@ -88,22 +82,7 @@ pub fn supernet_search_with_cache(
     let trained = train_supercircuit(&space, dataset.train(), num_classes, &config.train);
     let mut executions = trained.hardware_executions;
 
-    let valid = elivagar_datasets::Split {
-        features: dataset
-            .test()
-            .features
-            .iter()
-            .take(config.valid_samples)
-            .cloned()
-            .collect(),
-        labels: dataset
-            .test()
-            .labels
-            .iter()
-            .take(config.valid_samples)
-            .copied()
-            .collect(),
-    };
+    let valid = validation_split(dataset, config.valid_samples);
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     // Sampling stays sequential (one RNG stream, same draws as the serial
@@ -116,7 +95,7 @@ pub fn supernet_search_with_cache(
     let _stage = elivagar_obs::span!("supernet_score", samples = samples.len());
     elivagar_obs::metrics::BASELINE_EVALS.add(samples.len() as u64);
     let scored = elivagar_sim::parallel::par_map(&samples, |sub| {
-        subcircuit_validation_loss_cached(&space, sub, &trained.shared, &valid, num_classes, cache)
+        subcircuit_validation_loss(&space, sub, &trained.shared, &valid, num_classes, cache)
     });
     let mut best: Option<(crate::supercircuit::SubcircuitConfig, f64)> = None;
     for (sub, (loss, e)) in samples.iter().zip(&scored) {
@@ -153,7 +132,7 @@ mod tests {
     #[test]
     fn supernet_selects_finite_loss_circuit() {
         let data = moons(40, 16, 3).normalized(std::f64::consts::PI);
-        let result = supernet_search(&data, 3, &fast_config());
+        let result = supernet_search(&data, 3, &fast_config(), None);
         assert!(result.estimated_loss.is_finite());
         assert!(result.circuit.num_trainable_params() > 0);
         assert!(result.executions > 0);
@@ -162,7 +141,7 @@ mod tests {
     #[test]
     fn supernet_circuits_use_cry_entanglers() {
         let data = moons(40, 16, 4).normalized(std::f64::consts::PI);
-        let result = supernet_search(&data, 3, &fast_config());
+        let result = supernet_search(&data, 3, &fast_config(), None);
         assert!(result
             .circuit
             .instructions()

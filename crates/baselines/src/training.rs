@@ -3,8 +3,8 @@
 //! here, Section 6).
 
 use crate::supercircuit::SuperCircuit;
-use elivagar_cache::{decode_cached_value, encode_cached_value, CacheHandle, CacheKey, KeyBuilder};
-use elivagar_datasets::Split;
+use elivagar_cache::{memoize_scalar, CacheHandle, CacheKey, KeyBuilder};
+use elivagar_datasets::{Dataset, Split};
 use elivagar_ml::{batch_gradient, Adam, GradientMethod, QuantumClassifier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,17 +127,38 @@ pub fn train_supercircuit(
 /// Mean validation loss of a subcircuit with the shared (inherited)
 /// parameters — the candidate-evaluation primitive of SuperCircuit-based
 /// search. Returns `(loss, executions)`.
+///
+/// With a `cache`, the evaluation is memoized: a hit replays the loss
+/// bit-for-bit (and the execution count it originally cost); a miss
+/// computes and stores. `None` evaluates in place.
 pub fn subcircuit_validation_loss(
     space: &SuperCircuit,
     config: &crate::supercircuit::SubcircuitConfig,
     shared: &[f64],
     valid: &Split,
     num_classes: usize,
+    cache: Option<&CacheHandle>,
 ) -> (f64, u64) {
-    let circuit = space.subcircuit(config);
-    let model = QuantumClassifier::new(circuit, num_classes);
-    let loss = elivagar_ml::evaluate_loss(&model, shared, valid);
-    (loss, valid.len() as u64)
+    let model = QuantumClassifier::new(space.subcircuit(config), num_classes);
+    let Ok(scored) = memoize_scalar::<std::convert::Infallible>(
+        cache.map(|c| c.as_ref()),
+        || baseline_eval_key(model.circuit(), shared, valid, num_classes),
+        || {
+            let loss = elivagar_ml::evaluate_loss(&model, shared, valid);
+            Ok((loss, valid.len() as u64))
+        },
+    );
+    scored
+}
+
+/// The first `n` test samples: the validation set SuperCircuit-based
+/// searches score subcircuits on.
+pub(crate) fn validation_split(dataset: &Dataset, n: usize) -> Split {
+    let test = dataset.test();
+    Split {
+        features: test.features.iter().take(n).cloned().collect(),
+        labels: test.labels.iter().take(n).copied().collect(),
+    }
 }
 
 /// Cache key for one baseline subcircuit evaluation.
@@ -160,35 +181,6 @@ fn baseline_eval_key(
         b = b.f64s(row);
     }
     b.usizes(&valid.labels).u64(num_classes as u64).finish()
-}
-
-/// [`subcircuit_validation_loss`] routed through the result cache: a hit
-/// replays the loss bit-for-bit (and the execution count it originally
-/// cost); a miss computes and stores. `None` degrades to the uncached
-/// primitive with zero overhead.
-pub fn subcircuit_validation_loss_cached(
-    space: &SuperCircuit,
-    config: &crate::supercircuit::SubcircuitConfig,
-    shared: &[f64],
-    valid: &Split,
-    num_classes: usize,
-    cache: Option<&CacheHandle>,
-) -> (f64, u64) {
-    let Some(cache) = cache else {
-        return subcircuit_validation_loss(space, config, shared, valid, num_classes);
-    };
-    let circuit = space.subcircuit(config);
-    let key = baseline_eval_key(&circuit, shared, valid, num_classes);
-    if let Some(payload) = cache.get(&key) {
-        if let Some((bits, executions)) = decode_cached_value(&payload) {
-            return (f64::from_bits(bits), executions);
-        }
-    }
-    let model = QuantumClassifier::new(circuit, num_classes);
-    let loss = elivagar_ml::evaluate_loss(&model, shared, valid);
-    let executions = valid.len() as u64;
-    cache.put(&key, &encode_cached_value(loss.to_bits(), executions));
-    (loss, executions)
 }
 
 #[cfg(test)]
@@ -216,8 +208,9 @@ mod tests {
         let mut after = 0.0;
         for _ in 0..5 {
             let sub = space.sample_config(&mut rng);
-            before += subcircuit_validation_loss(&space, &sub, &initial, data.train(), 2).0;
-            after += subcircuit_validation_loss(&space, &sub, &outcome.shared, data.train(), 2).0;
+            before += subcircuit_validation_loss(&space, &sub, &initial, data.train(), 2, None).0;
+            after +=
+                subcircuit_validation_loss(&space, &sub, &outcome.shared, data.train(), 2, None).0;
         }
         assert!(after < before, "mean loss {before} -> {after}");
     }
@@ -240,7 +233,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let sub = space.sample_config(&mut rng);
         let shared = vec![0.1; space.total_params()];
-        let (loss, execs) = subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2);
+        let (loss, execs) = subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2, None);
         assert!(loss.is_finite());
         assert_eq!(execs, 10);
     }

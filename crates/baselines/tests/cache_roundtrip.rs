@@ -7,8 +7,7 @@
 //! exact `f64` bits and execution counts it stored.
 
 use elivagar_baselines::{
-    quantum_nas_search, quantum_nas_search_with_cache, subcircuit_validation_loss,
-    subcircuit_validation_loss_cached, supernet_search, supernet_search_with_cache, Entangler,
+    quantum_nas_search, subcircuit_validation_loss, supernet_search, Entangler,
     QuantumNasConfig, SuperCircuit, SuperTrainConfig, SupernetConfig,
 };
 use elivagar_cache::Cache;
@@ -47,23 +46,11 @@ fn cached_scoring_primitive_replays_losses_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..4 {
         let sub = space.sample_config(&mut rng);
-        let reference = subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2);
-        let cold = subcircuit_validation_loss_cached(
-            &space,
-            &sub,
-            &shared,
-            data.test(),
-            2,
-            Some(&cache),
-        );
-        let warm = subcircuit_validation_loss_cached(
-            &space,
-            &sub,
-            &shared,
-            data.test(),
-            2,
-            Some(&cache),
-        );
+        let reference = subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2, None);
+        let cold =
+            subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2, Some(&cache));
+        let warm =
+            subcircuit_validation_loss(&space, &sub, &shared, data.test(), 2, Some(&cache));
         assert_eq!(reference.0.to_bits(), cold.0.to_bits(), "cold miss must compute");
         assert_eq!(cold.0.to_bits(), warm.0.to_bits(), "warm hit must replay bits");
         assert_eq!(cold.1, warm.1, "execution accounting must replay");
@@ -74,10 +61,10 @@ fn cached_scoring_primitive_replays_losses_bit_for_bit() {
 fn supernet_search_is_bit_identical_cold_and_warm() {
     let data = moons(32, 12, 9).normalized(std::f64::consts::PI);
     let config = fast_supernet();
-    let reference = supernet_search(&data, 2, &config);
+    let reference = supernet_search(&data, 2, &config, None);
     let cache = Cache::memory_only(256);
-    let cold = supernet_search_with_cache(&data, 2, &config, Some(&cache));
-    let warm = supernet_search_with_cache(&data, 2, &config, Some(&cache));
+    let cold = supernet_search(&data, 2, &config, Some(&cache));
+    let warm = supernet_search(&data, 2, &config, Some(&cache));
     assert_eq!(reference, cold, "cold cached run must match cacheless run");
     assert_eq!(cold, warm, "warm run must replay the cold run exactly");
     assert_eq!(
@@ -92,10 +79,10 @@ fn quantum_nas_search_is_bit_identical_cold_and_warm() {
     let device = ibm_lagos();
     let data = moons(32, 12, 9).normalized(std::f64::consts::PI);
     let config = fast_quantumnas();
-    let reference = quantum_nas_search(&device, &data, 2, &config);
+    let reference = quantum_nas_search(&device, &data, 2, &config, None);
     let cache = Cache::memory_only(256);
-    let cold = quantum_nas_search_with_cache(&device, &data, 2, &config, Some(&cache));
-    let warm = quantum_nas_search_with_cache(&device, &data, 2, &config, Some(&cache));
+    let cold = quantum_nas_search(&device, &data, 2, &config, Some(&cache));
+    let warm = quantum_nas_search(&device, &data, 2, &config, Some(&cache));
     assert_eq!(reference, cold, "cold cached run must match cacheless run");
     assert_eq!(cold, warm, "warm run must replay the cold run exactly");
 }

@@ -30,7 +30,7 @@ fn bench_quantumnas_search(c: &mut Criterion) {
         ..Default::default()
     };
     c.bench_function("quantumnas_search_small", |b| {
-        b.iter(|| black_box(quantum_nas_search(&device, &data, 4, &config)));
+        b.iter(|| black_box(quantum_nas_search(&device, &data, 4, &config, None)));
     });
 }
 

@@ -12,7 +12,6 @@
 use elivagar::{run_search, Cache, RunOptions, SearchConfig, SearchResult};
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -57,7 +56,7 @@ fn main() {
     let mut config = SearchConfig::for_task(4, 16, 2, 2);
     config.num_candidates = 12;
 
-    let mut dir = PathBuf::from(std::env::temp_dir());
+    let mut dir = std::env::temp_dir();
     dir.push(format!("elivagar-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -99,6 +99,7 @@ fn main() {
                 },
                 ..Default::default()
             },
+            None,
         );
 
         let qnas_nat = nat_accuracy(device, &qnas_result.physical_circuit, &dataset, scale, 12);

@@ -52,7 +52,7 @@ fn main() {
     for i in 0..num_circuits {
         let sub = space.sample_config(&mut rng);
         let (pred_loss, _) =
-            subcircuit_validation_loss(&space, &sub, &trained.shared, dataset.test(), 2);
+            subcircuit_validation_loss(&space, &sub, &trained.shared, dataset.test(), 2, None);
         let (circuit, _) = space.extract(&sub, &trained.shared);
         let rc = repcap(&circuit, &samples, &labels, &repcap_cfg, &mut rng).repcap;
         // Ground truth: train the standalone circuit from scratch,

@@ -352,7 +352,7 @@ pub fn run_quantumnas(name: &str, device: &Device, scale: Scale, seed: u64) -> M
         seed,
         ..Default::default()
     };
-    let result = quantum_nas_search(device, &dataset, s.qubits, &config);
+    let result = quantum_nas_search(device, &dataset, s.qubits, &config, None);
     let mut outcome = evaluate_physical(device, &result.physical_circuit, &dataset, scale, seed);
     outcome.method = "quantumnas".into();
     outcome.search_executions = result.executions;
@@ -375,7 +375,7 @@ pub fn run_supernet(name: &str, device: &Device, scale: Scale, seed: u64) -> Met
         },
         seed,
     };
-    let result = supernet_search(&dataset, s.qubits, &config);
+    let result = supernet_search(&dataset, s.qubits, &config, None);
     let compiled = compile(
         &result.circuit,
         device,

@@ -300,7 +300,7 @@ fn search_kill_and_resume_reproduces_golden_ranking() {
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
                 .with_checkpoint_every(2)
-                .with_stop_after_records(stop_after),
+                .with_slice_budget(stop_after),
         )
         .expect_err("stops mid-search");
         assert!(matches!(err, search::SearchError::Interrupted { .. }));
@@ -400,7 +400,7 @@ fn nsga2_kill_and_resume_reproduces_golden_front() {
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
                 .with_checkpoint_every(2)
-                .with_stop_after_records(stop_after),
+                .with_slice_budget(stop_after),
         )
         .expect_err("stops mid-evolution");
         assert!(matches!(err, search::SearchError::Interrupted { .. }));
@@ -427,6 +427,63 @@ fn nsga2_kill_and_resume_reproduces_golden_front() {
                 a.score.map(f64::to_bits),
                 b.score.map(f64::to_bits),
                 "front scores must be bit-identical after killing at {stop_after}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// FNV-1a-64 of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Journal-layout goldens: the exact checkpoint file a completed golden
+/// search leaves behind, as `(length, FNV-1a-64)`. Identical bytes are
+/// what let an upgraded build resume journals written before the
+/// upgrade, so any change to record order, quarantine reasons, or the
+/// serialized form breaks one of these. The bytes do not depend on the
+/// thread count or on the checkpoint cadence.
+#[test]
+fn journal_bytes_are_pinned() {
+    let (device, dataset, config) = golden_search_task();
+    let (_, _, nsga2) = golden_nsga2_task();
+    let budgeted = config.clone().with_eval_budget(10);
+    let tasks = [
+        ("one-shot", config, 942, 0xcbc6_53d6_3a2e_15f7u64),
+        ("nsga2", nsga2, 3_669, 0xb3b8_8ea0_632b_727a),
+        // CNR fits the budget, RepCap does not: every survivor is a
+        // journaled budget quarantine and the search has no winner.
+        ("repcap budget", budgeted, 1_157, 0x704f_f589_c04e_974d),
+    ];
+    let mut path = std::env::temp_dir();
+    path.push(format!("elivagar-bench-journal-bytes-{}", std::process::id()));
+    for (name, config, len, digest) in tasks {
+        for every in [2, 16] {
+            let _ = std::fs::remove_file(&path);
+            let outcome = search::run_search(
+                &device,
+                &dataset,
+                &config,
+                &search::RunOptions::new()
+                    .with_checkpoint(path.clone())
+                    .with_checkpoint_every(every),
+            );
+            if let Err(e) = outcome {
+                assert!(
+                    matches!(e, search::SearchError::NoViableCandidates { .. }),
+                    "{name}: unexpected error {e}"
+                );
+            }
+            let bytes = std::fs::read(&path).expect("journal written");
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                (len, digest),
+                "{name} journal (checkpoint_every {every}): got {} bytes, digest {:#018x}",
+                bytes.len(),
+                fnv1a64(&bytes)
             );
         }
     }

@@ -29,6 +29,6 @@ pub mod codec;
 pub mod key;
 pub mod store;
 
-pub use codec::{decode_cached_value, encode_cached_value};
+pub use codec::memoize_scalar;
 pub use key::{CacheKey, KeyBuilder, ENGINE_SALT};
 pub use store::{crc32, Cache, CacheError, CacheHandle, DEFAULT_MEMORY_ENTRIES};

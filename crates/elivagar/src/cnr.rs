@@ -63,12 +63,17 @@ pub struct CnrResult {
 /// Returns [`NoiseModelError`] if the candidate's physical circuit does not
 /// fit the device (possible only for device-unaware candidates, which must
 /// be routed first).
+///
+/// # Panics
+///
+/// Panics if `config.clifford_replicas` is zero (the mean would be NaN).
 pub fn cnr<R: Rng + ?Sized>(
     candidate: &Candidate,
     device: &Device,
     config: &SearchConfig,
     rng: &mut R,
 ) -> Result<CnrResult, NoiseModelError> {
+    assert!(config.clifford_replicas >= 1, "cnr needs at least one Clifford replica");
     let sw = elivagar_obs::metrics::Stopwatch::start();
     elivagar_obs::metrics::CNR_EVALS.add(1);
     let physical = candidate.physical_circuit(device);
@@ -117,7 +122,7 @@ pub fn cnr<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics if `shots` is zero.
+/// Panics if `shots` or `config.clifford_replicas` is zero.
 pub fn cnr_with_shots<R: Rng + ?Sized>(
     candidate: &Candidate,
     device: &Device,
@@ -126,6 +131,7 @@ pub fn cnr_with_shots<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<CnrResult, NoiseModelError> {
     assert!(shots > 0, "need at least one shot");
+    assert!(config.clifford_replicas >= 1, "cnr needs at least one Clifford replica");
     let sw = elivagar_obs::metrics::Stopwatch::start();
     elivagar_obs::metrics::CNR_EVALS.add(1);
     let physical = candidate.physical_circuit(device);
@@ -327,5 +333,28 @@ mod tests {
         let cand = generate_candidate(&device, &cfg, &mut rng);
         let r = cnr(&cand, &device, &cfg, &mut rng).unwrap();
         assert_eq!(r.executions, cfg.clifford_replicas as u64);
+    }
+
+    fn cnr_without_replicas(shots: Option<usize>) {
+        let (device, mut cfg) = (ibm_lagos(), fast_config());
+        let rng = &mut StdRng::seed_from_u64(4);
+        let cand = generate_candidate(&device, &cfg, rng);
+        cfg.clifford_replicas = 0;
+        let _ = match shots {
+            Some(shots) => cnr_with_shots(&cand, &device, &cfg, shots, rng),
+            None => cnr(&cand, &device, &cfg, rng),
+        };
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one Clifford replica")]
+    fn cnr_rejects_zero_replicas() {
+        cnr_without_replicas(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one Clifford replica")]
+    fn cnr_with_shots_rejects_zero_replicas() {
+        cnr_without_replicas(Some(64));
     }
 }

@@ -15,18 +15,19 @@
 //! API.
 
 use crate::checkpoint::{self, CheckpointError, Fingerprint, Journal, StageRecord};
-use crate::cnr::{cnr, cnr_with_shots, reject_low_fidelity, CnrResult};
+use crate::cnr::{cnr, cnr_with_shots, reject_low_fidelity};
 use crate::config::{SearchConfig, SelectionStrategy, StrategyChoice};
 use crate::generate::Candidate;
-use crate::repcap::{repcap, RepCapResult};
-use elivagar_cache::{decode_cached_value, encode_cached_value, CacheHandle, CacheKey, KeyBuilder};
-use elivagar_circuit::Circuit;
+use crate::repcap::repcap;
 use crate::strategy::{
     Decision, ElivagarStrategy, EvalPlan, Evaluation, Nsga2Strategy, Objectives, ParetoFront,
     SearchStrategy, StrategyCtx,
 };
+use elivagar_cache::{memoize_scalar, CacheHandle, CacheKey, KeyBuilder};
+use elivagar_circuit::Circuit;
 use elivagar_datasets::Dataset;
 use elivagar_device::Device;
+use elivagar_ml::{QuantumClassifier, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -138,8 +139,7 @@ pub enum SearchError {
     },
     /// A checkpoint could not be written, read, or applied.
     Checkpoint(CheckpointError),
-    /// The run stopped at a requested journal-size boundary
-    /// ([`RunOptions::stop_after_records`] or [`RunOptions::slice_budget`]);
+    /// The run stopped at its slice boundary ([`RunOptions::slice_budget`]);
     /// resume from the checkpoint to continue.
     Interrupted {
         /// Journal records completed before stopping.
@@ -212,10 +212,6 @@ pub struct RunOptions {
     /// the *same* configuration. Journaled evaluations are reused
     /// verbatim; only unfinished candidates are evaluated.
     pub resume_from: Option<PathBuf>,
-    /// Stop with [`SearchError::Interrupted`] once the journal holds this
-    /// many records — a deterministic stand-in for `kill -9` in
-    /// crash-recovery tests.
-    pub stop_after_records: Option<usize>,
     /// Stop with [`SearchError::Interrupted`] once this many *new* records
     /// have been journaled by this call, measured from the resumed
     /// journal's length. This is the scheduler-facing slicing knob: a
@@ -256,13 +252,6 @@ impl RunOptions {
     /// configuration and strategy.
     pub fn with_resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
-        self
-    }
-
-    /// Stops deterministically once the journal holds `records` entries
-    /// (the crash-recovery test knob).
-    pub fn with_stop_after_records(mut self, records: usize) -> Self {
-        self.stop_after_records = Some(records);
         self
     }
 
@@ -397,57 +386,12 @@ impl PartialEq for SearchResult {
 ///
 /// # Panics
 ///
-/// Panics if the config is inconsistent with the dataset (class count or
-/// feature dimension mismatch), if a device-unaware candidate was not
-/// routed before evaluation, or if every candidate was quarantined. Use
-/// [`run_search`] to handle those as typed [`SearchError`]s.
+/// Panics where [`run_search`] panics (an inconsistent config or a zero
+/// predictor knob), if a device-unaware candidate was not routed before
+/// evaluation, or if every candidate was quarantined. Use [`run_search`]
+/// to handle the last two as typed [`SearchError`]s.
 pub fn search(device: &Device, dataset: &Dataset, config: &SearchConfig) -> SearchResult {
     run_search(device, dataset, config, &RunOptions::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn quarantine_record(stage: SearchStage, index: usize, reason: String) -> StageRecord {
-    StageRecord {
-        stage,
-        index,
-        value_bits: None,
-        executions: 0,
-        quarantine: Some(reason),
-    }
-}
-
-/// Saves the journal if checkpointing is enabled and honors the
-/// deterministic-kill, slice-budget, and cancellation knobs. Called after
-/// every batch of new records; `stop_at` is the absolute journal length at
-/// which this call must stop (the minimum of `stop_after_records` and the
-/// resumed length plus `slice_budget`).
-fn commit_progress(
-    journal: &Journal,
-    options: &RunOptions,
-    saves: &mut u64,
-    stop_at: Option<usize>,
-) -> Result<(), SearchError> {
-    if let Some(path) = &options.checkpoint_to {
-        checkpoint::save(path, journal)?;
-        *saves += 1;
-        // Chaos site: a process kill right after a durable checkpoint —
-        // the window resume is designed for.
-        elivagar_sim::faultpoint::hit("search::checkpoint", *saves);
-    }
-    if let Some(limit) = stop_at {
-        if journal.len() >= limit {
-            return Err(SearchError::Interrupted {
-                records: journal.len(),
-            });
-        }
-    }
-    // The cancel poll comes after the save: a canceled run still leaves a
-    // durable record of everything it finished.
-    if options.cancel.as_ref().is_some_and(elivagar_sim::CancelToken::is_canceled) {
-        return Err(SearchError::Canceled {
-            records: journal.len(),
-        });
-    }
-    Ok(())
 }
 
 /// Runs the Elivagar search with fault isolation, per-candidate budgets,
@@ -468,17 +412,22 @@ fn commit_progress(
 /// * [`SearchError::UnroutedCandidate`] — a device-unaware candidate was
 ///   evaluated without routing (a configuration bug, not a transient
 ///   fault, so it is not quarantined);
-/// * [`SearchError::NoViableCandidates`] — every candidate was rejected
-///   or quarantined;
+/// * [`SearchError::NoViableCandidates`] — the strategy selected no
+///   winner, because every candidate of every round was rejected or
+///   quarantined;
 /// * [`SearchError::Checkpoint`] — the journal could not be written, or
 ///   `resume_from` points at a corrupt or mismatched journal;
-/// * [`SearchError::Interrupted`] — the journal reached
-///   [`RunOptions::stop_after_records`].
+/// * [`SearchError::Interrupted`] — this call journaled
+///   [`RunOptions::slice_budget`] new records;
+/// * [`SearchError::Canceled`] — the [`RunOptions::cancel`] token fired.
 ///
 /// # Panics
 ///
 /// Panics if the config is inconsistent with the dataset (class count or
-/// feature dimension mismatch).
+/// feature dimension mismatch), or if any of the predictor knobs
+/// `clifford_replicas`, `cnr_trajectories`, `repcap_samples_per_class`,
+/// `repcap_bases` and `repcap_param_inits` is zero — either would fault
+/// every candidate's evaluation.
 pub fn run_search(
     device: &Device,
     dataset: &Dataset,
@@ -500,11 +449,11 @@ pub fn run_search(
 }
 
 /// The search **engine**: drives an arbitrary [`SearchStrategy`] through
-/// `propose` → evaluate → `observe` rounds, owning everything the
-/// strategy should not have to care about — parallel fan-out with panic
-/// quarantine, per-candidate evaluation budgets, crash-safe journaling
-/// (each strategy round is a checkpoint boundary), and the telemetry
-/// funnel.
+/// `propose` → evaluate → `observe` rounds, then trains the cohort and
+/// assembles the result. It owns everything the strategy should not have
+/// to care about — parallel fan-out with panic quarantine, per-candidate
+/// evaluation budgets, crash-safe journaling (each strategy round is a
+/// checkpoint boundary), and the telemetry funnel.
 ///
 /// The strategy's name is folded into the journal fingerprint, so a
 /// checkpoint written under one strategy refuses to resume another.
@@ -524,6 +473,15 @@ pub fn run_search_with(
         config.feature_dim <= dataset.feature_dim(),
         "config expects more features than the dataset has"
     );
+    for (knob, value) in [
+        ("clifford_replicas", config.clifford_replicas),
+        ("cnr_trajectories", config.cnr_trajectories),
+        ("repcap_samples_per_class", config.repcap_samples_per_class),
+        ("repcap_bases", config.repcap_bases),
+        ("repcap_param_inits", config.repcap_param_inits),
+    ] {
+        assert!(value >= 1, "{knob} must be at least 1");
+    }
 
     let _run_span = elivagar_obs::span!("search", candidates = config.num_candidates);
     let run_sw = elivagar_obs::metrics::Stopwatch::start();
@@ -531,272 +489,78 @@ pub fn run_search_with(
     // below is tallied run-locally so concurrent searches cannot pollute
     // each other.
     let metrics_before = elivagar_obs::metrics::snapshot();
-    let mut funnel = elivagar_obs::FunnelCounters::default();
-
-    let fingerprint = Fingerprint::of(config).salted(strategy.name());
-    let mut journal = match &options.resume_from {
-        Some(path) => {
-            let journal = checkpoint::load(path)?;
-            if journal.fingerprint != fingerprint {
-                return Err(CheckpointError::Mismatch {
-                    reason: format!(
-                        "journal was written by {:?} but this search is {:?}",
-                        journal.fingerprint, fingerprint
-                    ),
-                }
-                .into());
-            }
-            journal
-        }
-        None => Journal::new(fingerprint),
-    };
-    let chunk_size = if options.checkpoint_every == 0 {
-        DEFAULT_CHECKPOINT_EVERY
-    } else {
-        options.checkpoint_every
-    };
-    let mut saves = 0u64;
-    // The absolute journal length at which this call stops: the tighter of
-    // the legacy absolute knob and the slice budget (relative to however
-    // many records the resumed journal already holds).
-    let stop_at = match (
-        options.stop_after_records,
-        options.slice_budget.map(|b| journal.len() + b),
-    ) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let mut engine = Engine {
+        device,
+        dataset,
+        config,
+        ledger: Ledger::open(options, Fingerprint::of(config).salted(strategy.name()))?,
+        rng: StdRng::seed_from_u64(config.seed),
+        samples: None,
+        funnel: elivagar_obs::FunnelCounters::default(),
+        all: Vec::new(),
+        evals: Vec::new(),
+        quarantined: Vec::new(),
     };
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let mut all: Vec<Candidate> = Vec::new();
-    let mut evals: Vec<Evaluation> = Vec::new();
-    let mut quarantined: Vec<QuarantineEntry> = Vec::new();
-    // RepCap's per-class sample is drawn lazily from the main RNG before
-    // the first RepCap evaluation — the same stream position the
-    // pre-trait pipeline used — then shared by every later round.
-    let mut samples: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
     let mut round = 0usize;
-
     let selection = loop {
         let round_sw = elivagar_obs::metrics::Stopwatch::start();
         // Candidate proposal — generation is recomputed on resume (it is
         // a pure function of the RNG stream), never journaled.
-        let proposed = {
-            let mut ctx = StrategyCtx {
-                device,
-                dataset,
-                config,
-                rng: &mut rng,
-                round,
-                candidates: &all,
-            };
-            strategy.propose(&mut ctx)
-        };
-        let base = all.len();
-        elivagar_obs::metrics::CANDIDATES_GENERATED.add(proposed.len() as u64);
-        funnel.generated += proposed.len() as u64;
-        if elivagar_obs::compiled_in() {
-            // Funnel split: a candidate is "routed" when every two-qubit
-            // gate lands on a coupled pair under its placement
-            // (device-aware candidates are routed by construction;
-            // device-unaware ones may violate the topology until a
-            // routing pass runs). The placement maps local to physical
-            // qubits directly — no need to materialize the remapped
-            // circuit.
-            let topology = device.topology();
-            let (mut routed, mut unrouted) = (0u64, 0u64);
-            for c in &proposed {
-                let fits = c
-                    .circuit
-                    .instructions()
-                    .iter()
-                    .filter(|ins| ins.qubits.len() == 2)
-                    .all(|ins| {
-                        topology.are_coupled(c.placement[ins.qubits[0]], c.placement[ins.qubits[1]])
-                    });
-                if fits {
-                    routed += 1;
-                } else {
-                    unrouted += 1;
-                }
-            }
-            funnel.routed += routed;
-            funnel.unrouted += unrouted;
-            elivagar_obs::metrics::CANDIDATES_ROUTED.add(routed);
-            elivagar_obs::metrics::CANDIDATES_UNROUTED.add(unrouted);
-        }
-        all.extend(proposed);
-
-        let plan = strategy.plan(config);
-        evaluate_batch(
-            device,
-            dataset,
-            config,
-            options,
-            &plan,
-            &all,
-            base,
-            &mut journal,
-            &mut saves,
-            stop_at,
-            chunk_size,
-            &mut rng,
-            &mut samples,
-            &mut funnel,
-            &mut quarantined,
-            &mut evals,
-        )?;
+        let proposed = strategy.propose(&mut engine.strategy_view(round).0);
+        let base = engine.admit(proposed);
+        engine.evaluate_batch(&strategy.plan(config), base)?;
         round_sw.record(&elivagar_obs::metrics::STRATEGY_ROUND_NS);
 
-        let decision = {
-            let mut ctx = StrategyCtx {
-                device,
-                dataset,
-                config,
-                rng: &mut rng,
-                round,
-                candidates: &all,
-            };
-            strategy.observe(&mut ctx, &evals)
-        };
-        match decision {
+        let (mut ctx, evals) = engine.strategy_view(round);
+        match strategy.observe(&mut ctx, evals) {
             Decision::Stop(selection) => break selection,
             Decision::Continue => {
                 // Journal the generation boundary so a killed run knows
                 // which rounds completed; one-shot strategies stop at
                 // round 0 and leave the journal layout unchanged.
-                journal.push(StageRecord {
+                engine.ledger.journal.push(StageRecord {
                     stage: SearchStage::Generation,
                     index: round,
                     value_bits: None,
                     executions: 0,
                     quarantine: None,
                 });
-                commit_progress(&journal, options, &mut saves, stop_at)?;
+                engine.ledger.commit()?;
                 round += 1;
             }
         }
     };
 
+    // Viability is decided here, once, over the candidates of every
+    // round: an empty or fully quarantined round is not fatal by itself.
+    let Some(best_index) = selection.best else {
+        engine.quarantined.sort_by_key(|q| q.index);
+        return Err(SearchError::NoViableCandidates {
+            quarantined: engine.quarantined,
+        });
+    };
+    let trained = match &config.train {
+        Some(train_config) => engine.train_stage(train_config, best_index),
+        None => Vec::new(),
+    };
+
     // Accounting comes straight from the journal, so fresh and resumed
     // runs report identical totals (quarantined evaluations count 0).
     let mut executions = ExecutionBreakdown::default();
-    for r in &journal.records {
+    for r in &engine.ledger.journal.records {
         match r.stage {
             SearchStage::Cnr => executions.cnr += r.executions,
             SearchStage::RepCap => executions.repcap += r.executions,
             _ => {}
         }
     }
-
+    let mut quarantined = engine.quarantined;
     quarantined.sort_by_key(|q| q.index);
-    let Some(best_index) = selection.best else {
-        return Err(SearchError::NoViableCandidates { quarantined });
-    };
-
-    // Post-search cohort training: the top-k candidates (by descending
-    // score, candidate index as tie-break, always including the selected
-    // winner) train together through fused cross-candidate dispatches.
-    let mut trained: Vec<TrainedCandidate> = Vec::new();
-    if let Some(train_config) = &config.train {
-        let _train_stage = elivagar_obs::span!("train_stage");
-        let k = train_config.cohort.max(1);
-        let mut ranked: Vec<usize> = evals
-            .iter()
-            .filter(|e| e.score.is_some())
-            .map(|e| e.index)
-            .collect();
-        ranked.sort_by(|&a, &b| score_order(evals[b].score, evals[a].score).then(a.cmp(&b)));
-        let mut cohort: Vec<usize> = ranked.into_iter().take(k).collect();
-        if !cohort.contains(&best_index) {
-            cohort.insert(0, best_index);
-            cohort.truncate(k);
-        }
-        let mut members: Vec<usize> = Vec::with_capacity(cohort.len());
-        let mut models: Vec<elivagar_ml::QuantumClassifier> = Vec::with_capacity(cohort.len());
-        for &i in &cohort {
-            match elivagar_ml::QuantumClassifier::try_new(
-                all[i].circuit.clone(),
-                config.num_classes,
-            ) {
-                Ok(model) => {
-                    members.push(i);
-                    models.push(model);
-                }
-                Err(e) => quarantined.push(QuarantineEntry {
-                    index: i,
-                    stage: SearchStage::Train,
-                    reason: e.to_string(),
-                }),
-            }
-        }
-        // The whole cohort trains inside a panic boundary: a poisoned
-        // fused dispatch (or an injected `train::cohort_epoch` fault)
-        // quarantines every member at the train stage instead of
-        // aborting a search whose ranking already completed. The cancel
-        // token is threaded through so a deadline hitting mid-training
-        // stops at the next epoch boundary with a typed outcome.
-        let outcomes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            elivagar_ml::train_cohort_with_cancel(
-                &models,
-                dataset.train(),
-                train_config,
-                options.cancel.as_ref(),
-            )
-        }));
-        match outcomes {
-            Ok(outcomes) => {
-                for (&i, outcome) in members.iter().zip(outcomes) {
-                    match outcome {
-                        Ok(c) => trained.push(TrainedCandidate {
-                            index: i,
-                            params: c.outcome.params,
-                            loss_history: c.outcome.loss_history,
-                            pruned_at_epoch: c.pruned_at_epoch,
-                            executions: c.outcome.executions,
-                        }),
-                        Err(e) => quarantined.push(QuarantineEntry {
-                            index: i,
-                            stage: SearchStage::Train,
-                            reason: e.to_string(),
-                        }),
-                    }
-                }
-            }
-            Err(payload) => {
-                let message = elivagar_sim::panic_message(payload.as_ref());
-                for &i in &members {
-                    quarantined.push(QuarantineEntry {
-                        index: i,
-                        stage: SearchStage::Train,
-                        reason: format!("cohort training panicked: {message}"),
-                    });
-                }
-            }
-        }
-        quarantined.sort_by_key(|q| q.index);
-        // Surface the selected winner first even when a multi-objective
-        // strategy picked a candidate that is not the top composite score.
-        if let Some(pos) = trained.iter().position(|t| t.index == best_index) {
-            let winner = trained.remove(pos);
-            trained.insert(0, winner);
-        }
-    }
-
-    let finish_stats = |funnel: elivagar_obs::FunnelCounters| -> elivagar_obs::RunStats {
-        let delta = elivagar_obs::metrics::snapshot().since(&metrics_before);
-        elivagar_obs::RunStats {
-            funnel,
-            stages: elivagar_obs::RunStats::stages_from(&delta),
-            counters: elivagar_obs::RunStats::counters_from(&delta),
-            wall_ns: run_sw.elapsed_ns(),
-        }
-    };
-
-    let mut scored: Vec<ScoredCandidate> = all
+    let mut scored: Vec<ScoredCandidate> = engine
+        .all
         .into_iter()
-        .zip(evals.iter())
+        .zip(&engine.evals)
         .map(|(candidate, e)| ScoredCandidate {
             candidate,
             cnr: e.cnr,
@@ -809,6 +573,7 @@ pub fn run_search_with(
     // unscored (rejected or quarantined) candidates sort last.
     scored.sort_by(|a, b| score_order(b.score, a.score));
     elivagar_obs::metrics::CANDIDATES_QUARANTINED.add(quarantined.len() as u64);
+    let delta = elivagar_obs::metrics::snapshot().since(&metrics_before);
     Ok(SearchResult {
         best,
         best_index,
@@ -817,8 +582,513 @@ pub fn run_search_with(
         quarantined,
         pareto: selection.front,
         trained,
-        stats: finish_stats(funnel),
+        stats: elivagar_obs::RunStats {
+            funnel: engine.funnel,
+            stages: elivagar_obs::RunStats::stages_from(&delta),
+            counters: elivagar_obs::RunStats::counters_from(&delta),
+            wall_ns: run_sw.elapsed_ns(),
+        },
     })
+}
+
+/// The run's journal and the rules for committing it: whether it is
+/// saved, how many candidates are evaluated between saves, and where this
+/// call stops.
+struct Ledger<'a> {
+    journal: Journal,
+    options: &'a RunOptions,
+    /// Checkpoint saves so far (the key of the `search::checkpoint`
+    /// faultpoint).
+    saves: u64,
+    /// The absolute journal length at which this call stops: the resumed
+    /// journal's length plus [`RunOptions::slice_budget`].
+    stop_at: Option<usize>,
+    /// Candidates evaluated between commits.
+    chunk_size: usize,
+}
+
+impl<'a> Ledger<'a> {
+    /// Opens a fresh journal, or the one `options` resumes from once its
+    /// fingerprint proves it was written by this search.
+    fn open(options: &'a RunOptions, fingerprint: Fingerprint) -> Result<Self, SearchError> {
+        let journal = match &options.resume_from {
+            Some(path) => {
+                let journal = checkpoint::load(path)?;
+                if journal.fingerprint != fingerprint {
+                    return Err(CheckpointError::Mismatch {
+                        reason: format!(
+                            "journal was written by {:?} but this search is {:?}",
+                            journal.fingerprint, fingerprint
+                        ),
+                    }
+                    .into());
+                }
+                journal
+            }
+            None => Journal::new(fingerprint),
+        };
+        Ok(Ledger {
+            stop_at: options.slice_budget.map(|b| journal.len() + b),
+            chunk_size: if options.checkpoint_every == 0 {
+                DEFAULT_CHECKPOINT_EVERY
+            } else {
+                options.checkpoint_every
+            },
+            journal,
+            options,
+            saves: 0,
+        })
+    }
+
+    /// Saves the journal if checkpointing is enabled, then stops the run
+    /// at its slice boundary or on cancellation. Called after every batch
+    /// of new records.
+    fn commit(&mut self) -> Result<(), SearchError> {
+        if let Some(path) = &self.options.checkpoint_to {
+            checkpoint::save(path, &self.journal)?;
+            self.saves += 1;
+            // Chaos site: a process kill right after a durable checkpoint —
+            // the window resume is designed for.
+            elivagar_sim::faultpoint::hit("search::checkpoint", self.saves);
+        }
+        let records = self.journal.len();
+        if self.stop_at.is_some_and(|limit| records >= limit) {
+            return Err(SearchError::Interrupted { records });
+        }
+        // The cancel poll comes after the save: a canceled run still leaves
+        // a durable record of everything it finished.
+        if self.options.cancel.as_ref().is_some_and(elivagar_sim::CancelToken::is_canceled) {
+            return Err(SearchError::Canceled { records });
+        }
+        Ok(())
+    }
+}
+
+/// What tells one predictor stage from the other in
+/// [`run_predictor_stage`].
+struct PredictorStage {
+    stage: SearchStage,
+    /// Salt of the stage's per-candidate seed stream.
+    salt: u64,
+    stage_span: &'static str,
+    eval_span: &'static str,
+    /// The quarantine reason of a candidate that already spent `spent`
+    /// executions and cannot afford the stage's `cost` within `budget`.
+    over_budget: fn(spent: u64, cost: u64, budget: u64) -> String,
+}
+
+const CNR_STAGE: PredictorStage = PredictorStage {
+    stage: SearchStage::Cnr,
+    salt: 0xC14,
+    stage_span: "cnr_stage",
+    eval_span: "cnr_eval",
+    over_budget: |_, cost, budget| {
+        format!("evaluation budget exhausted: CNR costs {cost} executions, budget is {budget}")
+    },
+};
+
+const REPCAP_STAGE: PredictorStage = PredictorStage {
+    stage: SearchStage::RepCap,
+    salt: 0x4E9,
+    stage_span: "repcap_stage",
+    eval_span: "repcap_eval",
+    over_budget: |spent, cost, budget| {
+        format!(
+            "evaluation budget exhausted: {spent} executions spent on CNR, RepCap costs {cost} more, budget is {budget}"
+        )
+    },
+};
+
+/// Runs one predictor stage over the candidates `indices`, in that order
+/// — the one place that decides how a stage is journaled, budgeted, and
+/// quarantined:
+///
+/// 1. candidates the journal already holds at this stage are skipped;
+/// 2. those whose CNR executions plus the stage's `cost` exceed
+///    [`SearchConfig::eval_budget`] are quarantined and committed first;
+/// 3. the rest run as `evaluate(index, seed)` in checkpoint-sized chunks
+///    with per-task panic isolation;
+/// 4. each outcome is journaled in index order — a panic or a non-finite
+///    value as a quarantine — and every chunk is committed.
+///
+/// Returns each candidate's value (`None` if quarantined) and the
+/// quarantine entries, in `indices` order and read back from the journal,
+/// so fresh and resumed runs see the same records. An `Err` from
+/// `evaluate` aborts the run.
+fn run_predictor_stage(
+    ledger: &mut Ledger<'_>,
+    spec: &PredictorStage,
+    config: &SearchConfig,
+    cost: u64,
+    indices: &[usize],
+    evaluate: impl Fn(usize, u64) -> Result<(f64, u64), SearchError> + Sync,
+) -> Result<(Vec<Option<f64>>, Vec<QuarantineEntry>), SearchError> {
+    let _stage = elivagar_obs::span!(spec.stage_span);
+    let quarantine = |index, reason| StageRecord {
+        stage: spec.stage,
+        index,
+        value_bits: None,
+        executions: 0,
+        quarantine: Some(reason),
+    };
+    let before = ledger.journal.len();
+    let mut pending: Vec<usize> = Vec::new();
+    for &i in indices {
+        if ledger.journal.lookup(spec.stage, i).is_some() {
+            continue;
+        }
+        let spent = ledger.journal.lookup(SearchStage::Cnr, i).map_or(0, |r| r.executions);
+        match config.eval_budget {
+            Some(budget) if spent + cost > budget => {
+                let reason = (spec.over_budget)(spent, cost, budget);
+                ledger.journal.push(quarantine(i, reason));
+            }
+            _ => pending.push(i),
+        }
+    }
+    if ledger.journal.len() > before {
+        ledger.commit()?;
+    }
+    for chunk in pending.chunks(ledger.chunk_size) {
+        let outcomes = elivagar_sim::parallel::par_map_isolated(chunk, |&i| {
+            let _span = elivagar_obs::span!(spec.eval_span, candidate = i);
+            // Per-candidate seeds are pure functions of (search seed,
+            // stage, index), so an evaluation is identical whether it runs
+            // in the first attempt, after a crash, or on any thread count.
+            let salt = spec.salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            evaluate(i, config.seed ^ salt ^ (i as u64) << 17)
+        });
+        for (&i, outcome) in chunk.iter().zip(outcomes) {
+            let record = match outcome {
+                Err(fault) => quarantine(i, fault.message),
+                Ok(Err(e)) => return Err(e),
+                Ok(Ok((value, _))) if !value.is_finite() => {
+                    quarantine(i, format!("non-finite {} {value}", spec.stage))
+                }
+                Ok(Ok((value, executions))) => StageRecord {
+                    stage: spec.stage,
+                    index: i,
+                    value_bits: Some(value.to_bits()),
+                    executions,
+                    quarantine: None,
+                },
+            };
+            ledger.journal.push(record);
+        }
+        ledger.commit()?;
+    }
+
+    let mut quarantined = Vec::new();
+    let values = indices
+        .iter()
+        .map(|&i| {
+            let record = ledger.journal.lookup(spec.stage, i).expect("every candidate journaled");
+            match record.quarantine.clone() {
+                Some(reason) => {
+                    quarantined.push(QuarantineEntry { index: i, stage: spec.stage, reason });
+                    None
+                }
+                None => record.value_bits.map(f64::from_bits),
+            }
+        })
+        .collect();
+    Ok((values, quarantined))
+}
+
+/// One search run's state across strategy rounds.
+struct Engine<'a> {
+    device: &'a Device,
+    dataset: &'a Dataset,
+    config: &'a SearchConfig,
+    ledger: Ledger<'a>,
+    /// The sequential main RNG: strategies and the RepCap sample draw
+    /// from it, never the parallel fan-out.
+    rng: StdRng,
+    /// RepCap's per-class sample, drawn lazily from the main RNG before
+    /// the first RepCap stage — the stream position the pre-strategy
+    /// pipeline used — then shared by every later round.
+    samples: Option<(Vec<Vec<f64>>, Vec<usize>)>,
+    funnel: elivagar_obs::FunnelCounters,
+    /// Every candidate proposed so far; `evals[i]` is `all[i]`'s outcome.
+    all: Vec<Candidate>,
+    evals: Vec<Evaluation>,
+    quarantined: Vec<QuarantineEntry>,
+}
+
+impl Engine<'_> {
+    /// What a strategy sees at `round`, plus every evaluation so far.
+    fn strategy_view(&mut self, round: usize) -> (StrategyCtx<'_>, &[Evaluation]) {
+        let ctx = StrategyCtx {
+            device: self.device,
+            dataset: self.dataset,
+            config: self.config,
+            rng: &mut self.rng,
+            round,
+            candidates: &self.all,
+        };
+        (ctx, &self.evals)
+    }
+
+    /// Appends a proposed batch to the pool and returns its first index,
+    /// counting the funnel's routed/unrouted split on the way.
+    fn admit(&mut self, proposed: Vec<Candidate>) -> usize {
+        elivagar_obs::metrics::CANDIDATES_GENERATED.add(proposed.len() as u64);
+        self.funnel.generated += proposed.len() as u64;
+        if elivagar_obs::compiled_in() {
+            // A candidate is "routed" when every two-qubit gate lands on a
+            // coupled pair under its placement (device-aware candidates
+            // are routed by construction; device-unaware ones may violate
+            // the topology until a routing pass runs). The placement maps
+            // local to physical qubits directly — no need to materialize
+            // the remapped circuit.
+            let topology = self.device.topology();
+            let routed = proposed
+                .iter()
+                .filter(|c| {
+                    c.circuit.instructions().iter().filter(|ins| ins.qubits.len() == 2).all(|ins| {
+                        topology.are_coupled(c.placement[ins.qubits[0]], c.placement[ins.qubits[1]])
+                    })
+                })
+                .count() as u64;
+            let unrouted = proposed.len() as u64 - routed;
+            self.funnel.routed += routed;
+            self.funnel.unrouted += unrouted;
+            elivagar_obs::metrics::CANDIDATES_ROUTED.add(routed);
+            elivagar_obs::metrics::CANDIDATES_UNROUTED.add(unrouted);
+        }
+        let base = self.all.len();
+        self.all.extend(proposed);
+        base
+    }
+
+    /// Evaluates candidates `base..` through the CNR → rejection → RepCap
+    /// → scoring funnel (per `plan`) and appends one [`Evaluation`] per
+    /// candidate, in index order. A batch without a viable candidate is
+    /// not an error here; only the final selection decides viability.
+    fn evaluate_batch(&mut self, plan: &EvalPlan, base: usize) -> Result<(), SearchError> {
+        let (device, config, all) = (self.device, self.config, &self.all);
+        let cache = self.ledger.options.cache.as_deref();
+        let batch: Vec<usize> = (base..all.len()).collect();
+        let mut batch_quarantined: Vec<QuarantineEntry> = Vec::new();
+
+        // CNR, then early rejection among the healthy candidates. The
+        // RepCap-only ablation skips both; the random-selection ablation
+        // runs no predictors at all.
+        let mut cnrs: Vec<Option<f64>> = vec![None; batch.len()];
+        let survivors: Vec<usize> = match plan.selection {
+            SelectionStrategy::Random => Vec::new(),
+            SelectionStrategy::RepCapOnly => batch.clone(),
+            SelectionStrategy::Full => {
+                let (values, faults) = run_predictor_stage(
+                    &mut self.ledger,
+                    &CNR_STAGE,
+                    config,
+                    config.clifford_replicas as u64,
+                    &batch,
+                    |i, seed| {
+                        memoize_scalar(
+                            cache,
+                            || cnr_cache_key(&all[i], device, config, seed),
+                            || {
+                                let (candidate, mut rng) = (&all[i], StdRng::seed_from_u64(seed));
+                                match config.cnr_shots {
+                                    Some(shots) => {
+                                        cnr_with_shots(candidate, device, config, shots, &mut rng)
+                                    }
+                                    None => cnr(candidate, device, config, &mut rng),
+                                }
+                                .map(|r| (r.cnr, r.executions))
+                                .map_err(|_| SearchError::UnroutedCandidate { index: i })
+                            },
+                        )
+                    },
+                )?;
+                cnrs = values;
+                let (healthy, values): (Vec<usize>, Vec<f64>) =
+                    batch.iter().filter_map(|&i| cnrs[i - base].map(|c| (i, c))).unzip();
+                // `reject_low_fidelity` needs at least one value; a batch
+                // with no healthy candidate simply has no survivors.
+                let kept: Vec<usize> = if plan.cnr_rejection && !healthy.is_empty() {
+                    reject_low_fidelity(&values, config.cnr_threshold, config.cnr_keep_fraction)
+                        .into_iter()
+                        .map(|k| healthy[k])
+                        .collect()
+                } else {
+                    healthy.clone()
+                };
+                let rejected = (healthy.len() - kept.len()) as u64;
+                self.funnel.cnr_quarantined += faults.len() as u64;
+                self.funnel.cnr_accepted += kept.len() as u64;
+                self.funnel.cnr_rejected += rejected;
+                elivagar_obs::metrics::CNR_ACCEPTED.add(kept.len() as u64);
+                elivagar_obs::metrics::CNR_REJECTED.add(rejected);
+                batch_quarantined = faults;
+                kept
+            }
+        };
+
+        // RepCap on the survivors, in survivor order.
+        let mut repcaps: Vec<Option<f64>> = vec![None; batch.len()];
+        if plan.selection != SelectionStrategy::Random {
+            let (features, labels) = &*self.samples.get_or_insert_with(|| {
+                self.dataset
+                    .sample_per_class(config.repcap_samples_per_class, &mut self.rng)
+            });
+            let (values, faults) = run_predictor_stage(
+                &mut self.ledger,
+                &REPCAP_STAGE,
+                config,
+                (features.len() * config.repcap_param_inits) as u64,
+                &survivors,
+                |i, seed| {
+                    // The faultpoint stays ahead of the cache lookup so chaos
+                    // panics quarantine the same candidates whether the
+                    // cache is cold or warm.
+                    elivagar_sim::faultpoint::hit("repcap::eval", i as u64);
+                    memoize_scalar(
+                        cache,
+                        || repcap_cache_key(&all[i].circuit, features, labels, config, seed),
+                        || {
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let r = repcap(&all[i].circuit, features, labels, config, &mut rng);
+                            Ok((r.repcap, r.executions))
+                        },
+                    )
+                },
+            )?;
+            for (&i, value) in survivors.iter().zip(values) {
+                repcaps[i - base] = value;
+            }
+            self.funnel.repcap_quarantined += faults.len() as u64;
+            batch_quarantined.extend(faults);
+        }
+
+        // Composite scoring. A non-finite composite (possible only through
+        // data corruption or injected faults — both predictors are finite
+        // here) quarantines the candidate instead of poisoning the sort.
+        let _score_stage = elivagar_obs::span!("score_stage");
+        for (k, candidate) in all[base..].iter().enumerate() {
+            let i = base + k;
+            let raw = match (plan.selection, cnrs[k], repcaps[k]) {
+                (SelectionStrategy::Full, Some(c), Some(r)) => {
+                    Some(composite_score(c, r, config.alpha_cnr))
+                }
+                (SelectionStrategy::RepCapOnly, _, Some(r)) => Some(r.max(0.0)),
+                _ => None,
+            };
+            let raw = raw.map(|s| elivagar_sim::faultpoint::poison("search::score", i as u64, s));
+            let score = match raw {
+                Some(s) if !s.is_finite() => {
+                    batch_quarantined.push(QuarantineEntry {
+                        index: i,
+                        stage: SearchStage::Score,
+                        reason: format!("non-finite composite score {s}"),
+                    });
+                    self.funnel.score_quarantined += 1;
+                    None
+                }
+                other => other,
+            };
+            let objectives = match (cnrs[k], repcaps[k], score) {
+                (Some(c), Some(r), Some(_)) => Some(Objectives {
+                    repcap: r,
+                    cnr: c,
+                    two_qubit_count: candidate.circuit.two_qubit_gate_count(),
+                    depth: candidate.circuit.depth(),
+                }),
+                _ => None,
+            };
+            self.evals.push(Evaluation {
+                index: i,
+                cnr: cnrs[k],
+                repcap: repcaps[k],
+                score,
+                objectives,
+                rejected: plan.selection == SelectionStrategy::Full
+                    && cnrs[k].is_some()
+                    && !survivors.contains(&i),
+                quarantined: batch_quarantined.iter().any(|q| q.index == i),
+            });
+        }
+        self.quarantined.append(&mut batch_quarantined);
+        Ok(())
+    }
+
+    /// Post-search cohort training: the top-k candidates (by descending
+    /// score, candidate index as tie-break, always including the selected
+    /// winner) train together through fused cross-candidate dispatches.
+    /// Returns the trained members, the winner first; members whose
+    /// training fails join the quarantine at [`SearchStage::Train`].
+    fn train_stage(&mut self, train: &TrainConfig, best_index: usize) -> Vec<TrainedCandidate> {
+        let _train_stage = elivagar_obs::span!("train_stage");
+        let evals = &self.evals;
+        let k = train.cohort.max(1);
+        let mut cohort: Vec<usize> =
+            evals.iter().filter(|e| e.score.is_some()).map(|e| e.index).collect();
+        cohort.sort_by(|&a, &b| score_order(evals[b].score, evals[a].score).then(a.cmp(&b)));
+        cohort.truncate(k);
+        if !cohort.contains(&best_index) {
+            cohort.insert(0, best_index);
+            cohort.truncate(k);
+        }
+        let train_quarantine = |index: usize, reason: String| QuarantineEntry {
+            index,
+            stage: SearchStage::Train,
+            reason,
+        };
+        let mut members: Vec<usize> = Vec::with_capacity(cohort.len());
+        let mut models: Vec<QuantumClassifier> = Vec::with_capacity(cohort.len());
+        for &i in &cohort {
+            match QuantumClassifier::try_new(self.all[i].circuit.clone(), self.config.num_classes) {
+                Ok(model) => {
+                    members.push(i);
+                    models.push(model);
+                }
+                Err(e) => self.quarantined.push(train_quarantine(i, e.to_string())),
+            }
+        }
+        // The whole cohort trains inside a panic boundary: a poisoned
+        // fused dispatch (or an injected `train::cohort_epoch` fault)
+        // quarantines every member at the train stage instead of aborting
+        // a search whose ranking already completed. The cancel token is
+        // threaded through so a deadline hitting mid-training stops at the
+        // next epoch boundary with a typed outcome.
+        let trained_cohort = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            elivagar_ml::train_cohort_with_cancel(
+                &models,
+                self.dataset.train(),
+                train,
+                self.ledger.options.cancel.as_ref(),
+            )
+        }));
+        let outcomes: Vec<Result<_, String>> = match trained_cohort {
+            Ok(outcomes) => outcomes.into_iter().map(|o| o.map_err(|e| e.to_string())).collect(),
+            Err(payload) => {
+                let message = elivagar_sim::panic_message(payload.as_ref());
+                vec![Err(format!("cohort training panicked: {message}")); members.len()]
+            }
+        };
+        let mut trained: Vec<TrainedCandidate> = Vec::new();
+        for (&i, outcome) in members.iter().zip(outcomes) {
+            match outcome {
+                Ok(c) => trained.push(TrainedCandidate {
+                    index: i,
+                    params: c.outcome.params,
+                    loss_history: c.outcome.loss_history,
+                    pruned_at_epoch: c.pruned_at_epoch,
+                    executions: c.outcome.executions,
+                }),
+                Err(reason) => self.quarantined.push(train_quarantine(i, reason)),
+            }
+        }
+        // Surface the selected winner first even when a multi-objective
+        // strategy picked a candidate that is not the top composite score.
+        if let Some(pos) = trained.iter().position(|t| t.index == best_index) {
+            let winner = trained.remove(pos);
+            trained.insert(0, winner);
+        }
+        trained
+    }
 }
 
 /// Cache key for one CNR evaluation.
@@ -873,333 +1143,6 @@ fn repcap_cache_key(
         .u64(config.repcap_bases as u64)
         .u64(seed)
         .finish()
-}
-
-/// Evaluates candidates `base..all.len()` through the CNR → rejection →
-/// RepCap → scoring funnel (per `plan`), journaling each completed
-/// evaluation, and appends one [`Evaluation`] per candidate (in index
-/// order) to `evals`.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_batch(
-    device: &Device,
-    dataset: &Dataset,
-    config: &SearchConfig,
-    options: &RunOptions,
-    plan: &EvalPlan,
-    all: &[Candidate],
-    base: usize,
-    journal: &mut Journal,
-    saves: &mut u64,
-    stop_at: Option<usize>,
-    chunk_size: usize,
-    rng: &mut StdRng,
-    samples: &mut Option<(Vec<Vec<f64>>, Vec<usize>)>,
-    funnel: &mut elivagar_obs::FunnelCounters,
-    quarantined: &mut Vec<QuarantineEntry>,
-    evals: &mut Vec<Evaluation>,
-) -> Result<(), SearchError> {
-    let n = all.len();
-    let m = n - base; // batch size
-    if plan.selection == SelectionStrategy::Random {
-        // The random-selection ablation runs no predictors at all.
-        evals.extend((base..n).map(|i| Evaluation {
-            index: i,
-            cnr: None,
-            repcap: None,
-            score: None,
-            objectives: None,
-            rejected: false,
-            quarantined: false,
-        }));
-        return Ok(());
-    }
-
-    // Per-candidate seeds are pure functions of (search seed, index), so a
-    // candidate's evaluation is identical whether it runs in the first
-    // attempt, after a crash, or on a different thread count.
-    let per_candidate_seed = |index: usize, salt: u64| {
-        config.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (index as u64) << 17
-    };
-    let cache = options.cache.as_deref();
-
-    // CNR + optional early rejection (skipped in the RepCap-only
-    // ablation). Pending candidates are evaluated in checkpoint-sized
-    // chunks with per-task panic isolation.
-    if plan.selection == SelectionStrategy::Full {
-        let _stage = elivagar_obs::span!("cnr_stage");
-        let cnr_cost = config.clifford_replicas as u64;
-        let mut pending: Vec<usize> = Vec::new();
-        let before = journal.len();
-        for i in base..n {
-            if journal.lookup(SearchStage::Cnr, i).is_some() {
-                continue;
-            }
-            match config.eval_budget {
-                Some(budget) if cnr_cost > budget => journal.push(quarantine_record(
-                    SearchStage::Cnr,
-                    i,
-                    format!(
-                        "evaluation budget exhausted: CNR costs {cnr_cost} executions, budget is {budget}"
-                    ),
-                )),
-                _ => pending.push(i),
-            }
-        }
-        if journal.len() > before {
-            commit_progress(journal, options, saves, stop_at)?;
-        }
-        for chunk in pending.chunks(chunk_size) {
-            let outcomes = elivagar_sim::parallel::par_map_isolated(chunk, |&i| {
-                let _span = elivagar_obs::span!("cnr_eval", candidate = i);
-                let seed = per_candidate_seed(i, 0xC14);
-                let key = cache.map(|_| cnr_cache_key(&all[i], device, config, seed));
-                if let (Some(cache), Some(key)) = (cache, &key) {
-                    if let Some((bits, execs)) =
-                        cache.get(key).as_deref().and_then(decode_cached_value)
-                    {
-                        return Ok(CnrResult {
-                            cnr: f64::from_bits(bits),
-                            executions: execs,
-                        });
-                    }
-                }
-                let mut rng = StdRng::seed_from_u64(seed);
-                let out = match config.cnr_shots {
-                    Some(shots) => cnr_with_shots(&all[i], device, config, shots, &mut rng),
-                    None => cnr(&all[i], device, config, &mut rng),
-                };
-                if let (Some(cache), Some(key), Ok(r)) = (cache, &key, &out) {
-                    if r.cnr.is_finite() {
-                        cache.put(key, &encode_cached_value(r.cnr.to_bits(), r.executions));
-                    }
-                }
-                out
-            });
-            for (&i, outcome) in chunk.iter().zip(outcomes) {
-                let record = match outcome {
-                    Err(fault) => quarantine_record(SearchStage::Cnr, i, fault.message),
-                    Ok(Err(_)) => return Err(SearchError::UnroutedCandidate { index: i }),
-                    Ok(Ok(r)) if !r.cnr.is_finite() => quarantine_record(
-                        SearchStage::Cnr,
-                        i,
-                        format!("non-finite CNR {}", r.cnr),
-                    ),
-                    Ok(Ok(r)) => StageRecord {
-                        stage: SearchStage::Cnr,
-                        index: i,
-                        value_bits: Some(r.cnr.to_bits()),
-                        executions: r.executions,
-                        quarantine: None,
-                    },
-                };
-                journal.push(record);
-            }
-            commit_progress(journal, options, saves, stop_at)?;
-        }
-    }
-
-    let mut batch_quarantined: Vec<QuarantineEntry> = Vec::new();
-    let mut cnrs: Vec<Option<f64>> = vec![None; m];
-    let survivors: Vec<usize> = if plan.selection == SelectionStrategy::Full {
-        for (k, slot) in cnrs.iter_mut().enumerate() {
-            let i = base + k;
-            let rec = journal
-                .lookup(SearchStage::Cnr, i)
-                .expect("CNR stage completed for every candidate");
-            if let Some(reason) = &rec.quarantine {
-                batch_quarantined.push(QuarantineEntry {
-                    index: i,
-                    stage: SearchStage::Cnr,
-                    reason: reason.clone(),
-                });
-            } else {
-                *slot = rec.value_bits.map(f64::from_bits);
-            }
-        }
-        let healthy: Vec<usize> = (base..n).filter(|&i| cnrs[i - base].is_some()).collect();
-        if healthy.is_empty() {
-            quarantined.append(&mut batch_quarantined);
-            quarantined.sort_by_key(|q| q.index);
-            return Err(SearchError::NoViableCandidates {
-                quarantined: std::mem::take(quarantined),
-            });
-        }
-        let values: Vec<f64> = healthy.iter().map(|&i| cnrs[i - base].expect("healthy")).collect();
-        let kept: Vec<usize> = if plan.cnr_rejection {
-            reject_low_fidelity(&values, config.cnr_threshold, config.cnr_keep_fraction)
-                .into_iter()
-                .map(|k| healthy[k])
-                .collect()
-        } else {
-            healthy.clone()
-        };
-        funnel.cnr_quarantined += batch_quarantined.len() as u64;
-        funnel.cnr_accepted += kept.len() as u64;
-        funnel.cnr_rejected += (healthy.len() - kept.len()) as u64;
-        elivagar_obs::metrics::CNR_ACCEPTED.add(kept.len() as u64);
-        elivagar_obs::metrics::CNR_REJECTED.add((healthy.len() - kept.len()) as u64);
-        kept
-    } else {
-        (base..n).collect()
-    };
-
-    // RepCap on the survivors (also parallel, seed-stable, and
-    // panic-isolated).
-    if samples.is_none() {
-        *samples = Some(dataset.sample_per_class(config.repcap_samples_per_class, rng));
-    }
-    let (sample_features, sample_labels) = samples.as_ref().expect("samples just drawn");
-    let repcap_cost = (sample_features.len() * config.repcap_param_inits) as u64;
-    {
-        let _stage = elivagar_obs::span!("repcap_stage");
-        let mut pending: Vec<usize> = Vec::new();
-        let before = journal.len();
-        for &i in &survivors {
-            if journal.lookup(SearchStage::RepCap, i).is_some() {
-                continue;
-            }
-            let spent = journal.lookup(SearchStage::Cnr, i).map_or(0, |r| r.executions);
-            match config.eval_budget {
-                Some(budget) if spent + repcap_cost > budget => {
-                    journal.push(quarantine_record(
-                        SearchStage::RepCap,
-                        i,
-                        format!(
-                            "evaluation budget exhausted: {spent} executions spent on CNR, RepCap costs {repcap_cost} more, budget is {budget}"
-                        ),
-                    ));
-                }
-                _ => pending.push(i),
-            }
-        }
-        if journal.len() > before {
-            commit_progress(journal, options, saves, stop_at)?;
-        }
-        for chunk in pending.chunks(chunk_size) {
-            let outcomes = elivagar_sim::parallel::par_map_isolated(chunk, |&i| {
-                let _span = elivagar_obs::span!("repcap_eval", candidate = i);
-                // The faultpoint stays ahead of the cache lookup so chaos
-                // panics quarantine the same candidates whether the cache
-                // is cold or warm.
-                elivagar_sim::faultpoint::hit("repcap::eval", i as u64);
-                let seed = per_candidate_seed(i, 0x4E9);
-                let key = cache.map(|_| {
-                    repcap_cache_key(&all[i].circuit, sample_features, sample_labels, config, seed)
-                });
-                if let (Some(cache), Some(key)) = (cache, &key) {
-                    if let Some((bits, execs)) =
-                        cache.get(key).as_deref().and_then(decode_cached_value)
-                    {
-                        return RepCapResult {
-                            repcap: f64::from_bits(bits),
-                            executions: execs,
-                        };
-                    }
-                }
-                let mut rng = StdRng::seed_from_u64(seed);
-                let r = repcap(&all[i].circuit, sample_features, sample_labels, config, &mut rng);
-                if let (Some(cache), Some(key)) = (cache, &key) {
-                    if r.repcap.is_finite() {
-                        cache.put(key, &encode_cached_value(r.repcap.to_bits(), r.executions));
-                    }
-                }
-                r
-            });
-            for (&i, outcome) in chunk.iter().zip(outcomes) {
-                let record = match outcome {
-                    Err(fault) => quarantine_record(SearchStage::RepCap, i, fault.message),
-                    Ok(r) if !r.repcap.is_finite() => quarantine_record(
-                        SearchStage::RepCap,
-                        i,
-                        format!("non-finite RepCap {}", r.repcap),
-                    ),
-                    Ok(r) => StageRecord {
-                        stage: SearchStage::RepCap,
-                        index: i,
-                        value_bits: Some(r.repcap.to_bits()),
-                        executions: r.executions,
-                        quarantine: None,
-                    },
-                };
-                journal.push(record);
-            }
-            commit_progress(journal, options, saves, stop_at)?;
-        }
-    }
-
-    let mut repcaps: Vec<Option<f64>> = vec![None; m];
-    for &i in &survivors {
-        let rec = journal
-            .lookup(SearchStage::RepCap, i)
-            .expect("RepCap stage completed for every survivor");
-        if let Some(reason) = &rec.quarantine {
-            batch_quarantined.push(QuarantineEntry {
-                index: i,
-                stage: SearchStage::RepCap,
-                reason: reason.clone(),
-            });
-            funnel.repcap_quarantined += 1;
-        } else {
-            repcaps[i - base] = rec.value_bits.map(f64::from_bits);
-        }
-    }
-
-    // Composite scoring. A non-finite composite (possible only through
-    // data corruption or injected faults — both predictors are finite
-    // here) quarantines the candidate instead of poisoning the sort.
-    let _score_stage = elivagar_obs::span!("score_stage");
-    let survivor_set: Vec<bool> = {
-        let mut set = vec![false; m];
-        for &i in &survivors {
-            set[i - base] = true;
-        }
-        set
-    };
-    for (k, candidate) in all[base..].iter().enumerate() {
-        let i = base + k;
-        let raw = match (plan.selection, cnrs[k], repcaps[k]) {
-            (SelectionStrategy::Full, Some(c), Some(r)) => {
-                Some(composite_score(c, r, config.alpha_cnr))
-            }
-            (SelectionStrategy::RepCapOnly, _, Some(r)) => Some(r.max(0.0)),
-            _ => None,
-        };
-        let raw = raw.map(|s| elivagar_sim::faultpoint::poison("search::score", i as u64, s));
-        let score = match raw {
-            Some(s) if !s.is_finite() => {
-                batch_quarantined.push(QuarantineEntry {
-                    index: i,
-                    stage: SearchStage::Score,
-                    reason: format!("non-finite composite score {s}"),
-                });
-                funnel.score_quarantined += 1;
-                None
-            }
-            other => other,
-        };
-        let objectives = match (cnrs[k], repcaps[k], score) {
-            (Some(c), Some(r), Some(_)) => Some(Objectives {
-                repcap: r,
-                cnr: c,
-                two_qubit_count: candidate.circuit.two_qubit_gate_count(),
-                depth: candidate.circuit.depth(),
-            }),
-            _ => None,
-        };
-        evals.push(Evaluation {
-            index: i,
-            cnr: cnrs[k],
-            repcap: repcaps[k],
-            score,
-            objectives,
-            rejected: plan.selection == SelectionStrategy::Full
-                && cnrs[k].is_some()
-                && !survivor_set[k],
-            quarantined: batch_quarantined.iter().any(|q| q.index == i),
-        });
-    }
-    quarantined.append(&mut batch_quarantined);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1378,47 +1321,19 @@ mod tests {
         let baseline =
             run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
 
-        // Run until 3 records are journaled, then stop (simulated kill).
-        let interrupted = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions {
-                checkpoint_to: Some(path.clone()),
-                checkpoint_every: 2,
-                ..RunOptions::default()
-            },
-        );
+        let checkpointed = RunOptions::new().with_checkpoint(path.clone()).with_checkpoint_every(2);
         // No stop requested: this full run must also match the baseline.
-        assert_eq!(interrupted.expect("checkpointed run"), baseline);
+        let uninterrupted = run_search(&device, &dataset, &config, &checkpointed);
+        assert_eq!(uninterrupted.expect("checkpointed run"), baseline);
 
-        let err = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions {
-                checkpoint_to: Some(path.clone()),
-                checkpoint_every: 2,
-                stop_after_records: Some(3),
-                ..RunOptions::default()
-            },
-        )
-        .expect_err("stops mid-search");
+        // Run until 3 records are journaled, then stop (simulated kill).
+        let err = run_search(&device, &dataset, &config, &checkpointed.clone().with_slice_budget(3))
+            .expect_err("stops mid-search");
         assert!(matches!(err, SearchError::Interrupted { records } if records >= 3));
 
         // Resume from the journal: bit-identical final result.
-        let resumed = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions {
-                checkpoint_to: Some(path.clone()),
-                checkpoint_every: 2,
-                resume_from: Some(path.clone()),
-                ..RunOptions::default()
-            },
-        )
-        .expect("resumed run completes");
+        let resume = checkpointed.with_resume(path.clone());
+        let resumed = run_search(&device, &dataset, &config, &resume).expect("resumed run ends");
         assert_eq!(resumed, baseline);
         for (a, b) in resumed.scored.iter().zip(baseline.scored.iter()) {
             assert_eq!(
@@ -1597,7 +1512,7 @@ mod tests {
             &RunOptions::new()
                 .with_checkpoint(path.clone())
                 .with_checkpoint_every(2)
-                .with_stop_after_records(9),
+                .with_slice_budget(9),
         )
         .expect_err("stops mid-evolution");
         assert!(matches!(err, SearchError::Interrupted { .. }));
@@ -1683,6 +1598,61 @@ mod tests {
             .expect("someone scored");
         assert_eq!(result.best, worst.candidate);
     }
+
+    #[test]
+    fn empty_round_keeps_earlier_rounds_viable() {
+        // Round 0 proposes four candidates and round 1 none (an empty
+        // batch is allowed); the winner must still come from round 0.
+        struct ThenEmpty;
+        impl crate::strategy::SearchStrategy for ThenEmpty {
+            fn name(&self) -> &'static str {
+                "then-empty"
+            }
+            fn propose(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<Candidate> {
+                let count = if ctx.round == 0 { 4 } else { 0 };
+                crate::strategy::generate_pool(ctx, count)
+            }
+            fn observe(&mut self, ctx: &mut StrategyCtx<'_>, evals: &[Evaluation]) -> Decision {
+                if ctx.round == 0 {
+                    return Decision::Continue;
+                }
+                let best = evals
+                    .iter()
+                    .filter(|e| e.score.is_some())
+                    .max_by(|a, b| score_order(a.score, b.score))
+                    .map(|e| e.index);
+                Decision::Stop(crate::strategy::Selection { best, front: None })
+            }
+        }
+        let (device, dataset, config) = setup();
+        let result =
+            run_search_with(&device, &dataset, &config, &RunOptions::default(), &mut ThenEmpty)
+                .expect("an empty round does not discard earlier rounds");
+        assert_eq!(result.scored.len(), 4);
+        assert!(result.best_index < 4);
+        assert_eq!(result.best, result.scored[0].candidate);
+    }
+
+    /// A zero predictor knob would fault every candidate's evaluation, so
+    /// the engine refuses it before evaluating anything.
+    macro_rules! zero_knob_panics_up_front {
+        ($($test:ident: $knob:ident),* $(,)?) => {$(
+            #[test]
+            #[should_panic(expected = "must be at least 1")]
+            fn $test() {
+                let (device, dataset, mut config) = setup();
+                config.$knob = 0;
+                let _ = run_search(&device, &dataset, &config, &RunOptions::default());
+            }
+        )*};
+    }
+    zero_knob_panics_up_front!(
+        zero_clifford_replicas_panics_up_front: clifford_replicas,
+        zero_cnr_trajectories_panics_up_front: cnr_trajectories,
+        zero_repcap_samples_per_class_panics_up_front: repcap_samples_per_class,
+        zero_repcap_bases_panics_up_front: repcap_bases,
+        zero_repcap_param_inits_panics_up_front: repcap_param_inits,
+    );
 
     #[test]
     fn cohort_training_surfaces_trained_candidates() {

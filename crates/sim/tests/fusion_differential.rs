@@ -171,7 +171,7 @@ proptest! {
 /// only low qubits — the cache-blocked executor splits it into per-tile
 /// runs — followed by high-qubit barriers and dynamic gates.
 fn tiled_circuit() -> Circuit {
-    assert!(13 > elivagar_sim::TILE_QUBITS);
+    const _: () = assert!(13 > elivagar_sim::TILE_QUBITS);
     let mut c = Circuit::new(13);
     // Static low-qubit run: fused and executed tile-by-tile.
     for q in 0..8 {

@@ -34,7 +34,7 @@ run_counted() {
 
 cargo build --release --workspace
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Telemetry must also build and pass with the feature compiled out (the
 # disabled path is part of the obs crate's API contract, not dead code).

@@ -24,7 +24,7 @@ fn quantumnas_full_pipeline_trains() {
         train: SuperTrainConfig { epochs: 2, batch_size: 16, ..Default::default() },
         ..Default::default()
     };
-    let result = quantum_nas_search(&device, &data, 3, &config);
+    let result = quantum_nas_search(&device, &data, 3, &config, None);
     assert!(is_hardware_efficient(&result.physical_circuit, &device));
 
     // Final circuit trains from scratch (the paper's protocol).
@@ -49,7 +49,7 @@ fn supernet_circuit_compiles_and_trains() {
         train: SuperTrainConfig { epochs: 2, batch_size: 16, ..Default::default() },
         seed: 0,
     };
-    let result = supernet_search(&data, 3, &config);
+    let result = supernet_search(&data, 3, &config, None);
     let compiled = compile(
         &result.circuit,
         &device,
