@@ -9,10 +9,9 @@
 //! reported speedup is for *exactly* the same answer. `scripts/verify.sh`
 //! gates on `speedup >= 2.0 && winner_match == true`.
 
-use elivagar::{run_search, Cache, RunOptions, SearchConfig, SearchResult};
+use elivagar::{run_search, Cache, RunOptions, SearchConfig};
+use elivagar_bench::{median, time_ns};
 use serde::Serialize;
-use std::hint::black_box;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
@@ -29,17 +28,6 @@ struct Report {
     /// Whether cold, warm, and uncached runs all selected the identical
     /// ranking (checked with the full bit-exact result comparison).
     winner_match: bool,
-}
-
-fn median_min(mut times: Vec<u64>) -> (u64, u64) {
-    times.sort_unstable();
-    (times[times.len() / 2], times[0])
-}
-
-fn time_ns(f: impl FnOnce() -> SearchResult) -> (u64, SearchResult) {
-    let start = Instant::now();
-    let result = black_box(f());
-    (u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns"), result)
 }
 
 fn counter(stats: &elivagar_obs::RunStats, name: &str) -> u64 {
@@ -75,7 +63,8 @@ fn main() {
         winner_match &= result == reference;
         cold_times.push(ns);
     }
-    let (cold_median_ns, cold_min_ns) = median_min(cold_times);
+    let cold_min_ns = *cold_times.iter().min().expect("three cold reps");
+    let cold_median_ns = median(cold_times);
 
     // Warm: a fresh handle over the populated directory, so the first rep
     // exercises the disk tier and later reps the memory tier.
@@ -92,7 +81,8 @@ fn main() {
         }
         warm_times.push(ns);
     }
-    let (warm_median_ns, warm_min_ns) = median_min(warm_times);
+    let warm_min_ns = *warm_times.iter().min().expect("seven warm reps");
+    let warm_median_ns = median(warm_times);
     let _ = std::fs::remove_dir_all(&dir);
 
     let report = Report {

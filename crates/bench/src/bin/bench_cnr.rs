@@ -8,6 +8,7 @@
 //! computation. `scripts/verify.sh` gates on `speedup >= 5.0`.
 
 use elivagar::{clifford_replica, generate_candidate, SearchConfig};
+use elivagar_bench::time_reps;
 use elivagar_device::circuit_noise;
 use elivagar_sim::noisy_clifford_distribution;
 use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
@@ -15,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 const TRAJECTORIES: usize = 1000;
 
@@ -32,22 +32,6 @@ struct Report {
     speedup: f64,
 }
 
-/// Times `f` over `reps` runs (after `warmup` discarded runs) and returns
-/// `(median, min)` in nanoseconds.
-fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> (u64, u64) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut times: Vec<u64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns")
-        })
-        .collect();
-    times.sort_unstable();
-    (times[times.len() / 2], times[0])
-}
 
 fn main() {
     // The same reference candidate as `bench_fusion`'s RepCap-shaped

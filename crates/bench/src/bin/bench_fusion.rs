@@ -28,6 +28,7 @@
 //! same build); per-gate throughput is also recorded because it is
 //! machine-relative but workload-independent.
 
+use elivagar_bench::{median, time_ns, time_reps};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_ml::{batch_gradient, cross_entropy, GradientMethod, QuantumClassifier};
 use elivagar_sim::oracle::adjoint_gradient;
@@ -37,7 +38,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Forward/gradient pairs timed after the warm-up pairs.
 const PAIRS: usize = 30;
@@ -135,26 +135,6 @@ fn feature_batch(samples: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Times `f` over `reps` runs (after `warmup` discarded runs) and returns
-/// the median in nanoseconds.
-fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> u64 {
-    for _ in 0..warmup {
-        f();
-    }
-    median((0..reps).map(|_| time_ns(&mut f)).collect())
-}
-
-fn time_ns(f: &mut impl FnMut()) -> u64 {
-    let start = Instant::now();
-    f();
-    u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns")
-}
-
-fn median<T: Copy + PartialOrd>(mut values: Vec<T>) -> T {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
-    values[values.len() / 2]
-}
-
 /// Times `forward` and `gradient` alternately: 5 discarded warm-up pairs,
 /// then [`PAIRS`] pairs of one `forward` and one `gradient` call. Returns
 /// the median forward time, the median gradient time (ns), and the median
@@ -165,7 +145,7 @@ fn time_pairs(mut forward: impl FnMut(), mut gradient: impl FnMut()) -> (u64, u6
         gradient();
     }
     let pairs: Vec<(u64, u64)> =
-        (0..PAIRS).map(|_| (time_ns(&mut forward), time_ns(&mut gradient))).collect();
+        (0..PAIRS).map(|_| (time_ns(&mut forward).0, time_ns(&mut gradient).0)).collect();
     let ratios = pairs.iter().map(|&(f, g)| g as f64 / f as f64).collect();
     (
         median(pairs.iter().map(|p| p.0).collect()),
@@ -176,10 +156,10 @@ fn time_pairs(mut forward: impl FnMut(), mut gradient: impl FnMut()) -> (u64, u6
 
 fn forward_workload(name: &str, circuit: &Circuit, params: &[f64], features: &[f64]) -> ForwardWorkload {
     let fused = Program::compile(circuit);
-    let fused_median_ns = time_reps(5, 40, || {
+    let (fused_median_ns, _) = time_reps(5, 40, || {
         black_box(fused.run_with(params, features, |psi| psi.expectation_z(0)));
     });
-    let reference_median_ns = time_reps(5, 40, || {
+    let (reference_median_ns, _) = time_reps(5, 40, || {
         black_box(StateVector::run(circuit, params, features).expectation_z(0));
     });
     let instructions = circuit.instructions().len();

@@ -12,9 +12,9 @@
 //! budget.
 
 use elivagar::{run_search, Nsga2Config, RunOptions, SearchConfig};
+use elivagar_bench::time_ns;
 use elivagar_datasets::moons;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
@@ -56,11 +56,10 @@ fn main() {
 
         let mut oneshot = reference_config();
         oneshot.num_candidates = evals;
-        let start = Instant::now();
-        let oneshot_result = run_search(&device, &dataset, &oneshot, &RunOptions::default())
-            .expect("one-shot search on the reference workload");
-        let oneshot_wall_ns =
-            u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns");
+        let (oneshot_wall_ns, oneshot_result) = time_ns(|| {
+            run_search(&device, &dataset, &oneshot, &RunOptions::default())
+                .expect("one-shot search on the reference workload")
+        });
         let oneshot_best = oneshot_result.scored[0].score.expect("sorted by score");
 
         let nsga2 = reference_config().with_nsga2(
@@ -68,11 +67,10 @@ fn main() {
                 .with_population(population)
                 .with_generations(generations),
         );
-        let start = Instant::now();
-        let nsga2_result = run_search(&device, &dataset, &nsga2, &RunOptions::default())
-            .expect("nsga2 search on the reference workload");
-        let nsga2_wall_ns =
-            u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns");
+        let (nsga2_wall_ns, nsga2_result) = time_ns(|| {
+            run_search(&device, &dataset, &nsga2, &RunOptions::default())
+                .expect("nsga2 search on the reference workload")
+        });
         let nsga2_best = nsga2_result.scored[0].score.expect("sorted by score");
         let front = nsga2_result.pareto.expect("nsga2 surfaces a front");
 

@@ -16,11 +16,11 @@
 //! same build); the JSON also records member-epoch counts, which are
 //! machine-independent.
 
+use elivagar_bench::time_ns;
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_ml::{train_cohort, try_train, QuantumClassifier, TrainConfig};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
@@ -73,19 +73,17 @@ fn main() {
     let config = TrainConfig { epochs, batch_size: 16, seed: 5, ..Default::default() };
 
     // Baseline: every candidate trained to completion, one at a time.
-    let start = Instant::now();
-    let solo: Vec<_> = models
-        .iter()
-        .map(|m| try_train(m, data.train(), &config).expect("healthy solo run"))
-        .collect();
-    let solo_wall_ns = u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns");
+    let (solo_wall_ns, solo) = time_ns(|| {
+        models
+            .iter()
+            .map(|m| try_train(m, data.train(), &config).expect("healthy solo run"))
+            .collect::<Vec<_>>()
+    });
 
     // Contender: the same cohort through fused dispatches with halving.
     let halved_config =
         TrainConfig { cohort: models.len(), halving_rungs, ..config };
-    let start = Instant::now();
-    let halved = train_cohort(&models, data.train(), &halved_config);
-    let cohort_wall_ns = u64::try_from(start.elapsed().as_nanos()).expect("fits in u64 ns");
+    let (cohort_wall_ns, halved) = time_ns(|| train_cohort(&models, data.train(), &halved_config));
 
     let cohort_member_epochs: usize = halved
         .iter()

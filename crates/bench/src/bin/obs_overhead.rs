@@ -10,10 +10,10 @@
 
 use elivagar::config::SearchConfig;
 use elivagar::search;
+use elivagar_bench::time_ns;
 use elivagar_datasets::moons;
 use elivagar_device::devices::ibm_lagos;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn main() {
     let reps: usize = std::env::args()
@@ -34,9 +34,7 @@ fn main() {
 
     let mut best_ns = u64::MAX;
     for _ in 0..reps {
-        let start = Instant::now();
-        black_box(search::search(&device, &dataset, &config));
-        best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
+        best_ns = best_ns.min(time_ns(|| search::search(&device, &dataset, &config)).0);
     }
 
     println!(

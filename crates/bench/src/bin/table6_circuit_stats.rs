@@ -27,7 +27,7 @@ fn row(bench: &str, device: &str, o: &MethodOutcome) -> Vec<String> {
 
 fn main() {
     let scale = Scale::from_env();
-    let full = std::env::var("ELIVAGAR_SCALE").as_deref() == Ok("full");
+    let full = scale == Scale::full();
     let mut tasks = vec![
         (ibm_nairobi(), "vowel-2"),
         (ibm_lagos(), "mnist-4"),

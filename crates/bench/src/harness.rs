@@ -63,11 +63,23 @@ impl Scale {
     }
 
     /// Reads `ELIVAGAR_SCALE` (`smoke` default, `full` for the paper-size
-    /// runs).
+    /// runs). Any other value exits the process with status 1 and a
+    /// message naming it, so a mistyped `full` never runs at smoke scale.
     pub fn from_env() -> Self {
-        match std::env::var("ELIVAGAR_SCALE").as_deref() {
-            Ok("full") => Scale::full(),
-            _ => Scale::smoke(),
+        let value = std::env::var_os("ELIVAGAR_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("smoke") => Ok(Scale::smoke()),
+            Some("full") => Ok(Scale::full()),
+            Some(other) => Err(format!(
+                "ELIVAGAR_SCALE={other:?} is not a scale; use `smoke` (the default) or `full`"
+            )),
         }
     }
 }
@@ -464,7 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_to_smoke() {
-        assert_eq!(Scale::from_env(), Scale::smoke());
+    fn scale_parses_only_unset_smoke_and_full() {
+        assert_eq!(Scale::parse(None), Ok(Scale::smoke()));
+        assert_eq!(Scale::parse(Some("smoke")), Ok(Scale::smoke()));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::full()));
+        for typo in ["Full", "ful"] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("ELIVAGAR_SCALE") && err.contains(typo), "{err}");
+        }
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! One binary per paper table/figure regenerates the corresponding rows or
 //! series (see `DESIGN.md` for the index); this library holds the shared
-//! drivers ([`harness`]) and correlation statistics ([`stats`]).
+//! drivers ([`harness`]), correlation statistics ([`stats`]) and the
+//! gate binaries' wall-time measurement ([`timing`]).
 //!
 //! Scale is controlled by `ELIVAGAR_SCALE` (`smoke` default, `full` for
-//! paper-sized runs).
+//! paper-sized runs); any other value is an error.
 
 pub mod harness;
 pub mod stats;
+pub mod timing;
 
 pub use harness::{
     candidate_fidelity, compact_circuit, evaluate_physical, load_benchmark, print_table,
@@ -16,3 +18,4 @@ pub use harness::{
     run_random_baseline, run_supernet, search_config_for, MethodOutcome, Scale,
 };
 pub use stats::{geometric_mean, mean, pearson, spearman};
+pub use timing::{median, time_ns, time_reps};

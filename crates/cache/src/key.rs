@@ -107,7 +107,7 @@ pub struct KeyBuilder {
 
 impl KeyBuilder {
     /// Starts a key for one memoized function (`"cnr"`, `"repcap"`,
-    /// `"route"`, ...). The [`ENGINE_SALT`] is folded in first, so a salt
+    /// `"baseline_eval"`, ...). The [`ENGINE_SALT`] is folded in first, so a salt
     /// bump changes every key.
     pub fn new(kind: &str) -> Self {
         let mut b = KeyBuilder {

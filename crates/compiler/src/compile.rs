@@ -9,12 +9,10 @@ use crate::basis::{decompose_to_basis, TwoQubitBasis};
 use crate::mapping::{noise_aware_mapping, trivial_mapping};
 use crate::passes::{cancel_adjacent_inverses, fuse_single_qubit_runs, remove_trivial_gates};
 use crate::sabre::route;
-use elivagar_cache::{Cache, KeyBuilder};
 use elivagar_circuit::Circuit;
 use elivagar_device::Device;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How aggressively to compile, mirroring Qiskit's levels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -43,7 +41,7 @@ pub struct CompileOptions {
 }
 
 /// A compiled, device-executable circuit.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledCircuit {
     /// Physical circuit: every two-qubit gate acts on a coupled pair and
     /// (for O1+) uses only the native entangler.
@@ -146,40 +144,6 @@ pub fn compile(circuit: &Circuit, device: &Device, options: CompileOptions) -> C
     }
 }
 
-/// [`compile`] through a content-addressed result cache.
-///
-/// `compile` is a pure function of `(circuit, device, options)` — every
-/// RNG it consumes is seeded from `options.seed` — so the whole compiled
-/// artifact is content-addressed. A hit replays the stored circuit; a
-/// miss compiles and stores; a corrupt or unparseable entry degrades to
-/// a recompute. Either way the output is bit-identical to [`compile`].
-pub fn compile_with_cache(
-    circuit: &Circuit,
-    device: &Device,
-    options: CompileOptions,
-    cache: &Cache,
-) -> CompiledCircuit {
-    let key = KeyBuilder::new("compile")
-        .circuit(circuit)
-        .device(device)
-        .u64(options.level as u64)
-        .u64(options.basis as u64)
-        .u64(options.seed)
-        .finish();
-    if let Some(hit) = cache
-        .get(&key)
-        .and_then(|p| String::from_utf8(p).ok())
-        .and_then(|p| serde_json::from_str::<CompiledCircuit>(&p).ok())
-    {
-        return hit;
-    }
-    let compiled = compile(circuit, device, options);
-    if let Ok(payload) = serde_json::to_string(&compiled) {
-        cache.put(&key, payload.as_bytes());
-    }
-    compiled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,52 +231,6 @@ mod tests {
             .instructions()
             .iter()
             .all(|i| i.qubits.len() == 1 || i.gate == Gate::Cz));
-    }
-
-    #[test]
-    fn cached_compile_is_bit_identical_cold_and_warm_at_every_level() {
-        let cache = Cache::memory_only(64);
-        let device = ibm_lagos();
-        let c = dense_circuit(4);
-        for level in [
-            OptimizationLevel::O0,
-            OptimizationLevel::O1,
-            OptimizationLevel::O2,
-            OptimizationLevel::O3,
-        ] {
-            let options = CompileOptions { level, basis: TwoQubitBasis::Cx, seed: 7 };
-            let plain = compile(&c, &device, options);
-            let cold = compile_with_cache(&c, &device, options, &cache);
-            let warm = compile_with_cache(&c, &device, options, &cache);
-            assert_eq!(plain, cold, "{level:?}: cold cache result differs");
-            assert_eq!(plain, warm, "{level:?}: warm cache result differs");
-        }
-    }
-
-    #[test]
-    fn compile_cache_distinguishes_seeds_and_levels() {
-        // Different options must never alias to one entry: warm lookups
-        // with changed seed/level reproduce their own plain compile.
-        let cache = Cache::memory_only(64);
-        let device = ibm_lagos();
-        let c = dense_circuit(5);
-        let base = CompileOptions {
-            level: OptimizationLevel::O3,
-            basis: TwoQubitBasis::Cx,
-            seed: 1,
-        };
-        compile_with_cache(&c, &device, base, &cache);
-        for options in [
-            CompileOptions { seed: 2, ..base },
-            CompileOptions { level: OptimizationLevel::O2, ..base },
-            CompileOptions { basis: TwoQubitBasis::Cz, ..base },
-        ] {
-            assert_eq!(
-                compile_with_cache(&c, &device, options, &cache),
-                compile(&c, &device, options),
-                "{options:?} aliased to a stale entry"
-            );
-        }
     }
 
     #[test]

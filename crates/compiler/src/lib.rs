@@ -28,10 +28,9 @@ pub mod synthesis;
 
 pub use basis::{decompose_to_basis, TwoQubitBasis};
 pub use compile::{
-    compile, compile_with_cache, is_hardware_efficient, CompileOptions, CompiledCircuit,
-    OptimizationLevel,
+    compile, is_hardware_efficient, CompileOptions, CompiledCircuit, OptimizationLevel,
 };
 pub use mapping::{noise_aware_mapping, random_mapping, trivial_mapping};
 pub use passes::{cancel_adjacent_inverses, fuse_single_qubit_runs, remove_trivial_gates, zyz_decompose};
-pub use sabre::{route, route_cached, RoutedCircuit};
+pub use sabre::{route, RoutedCircuit};
 pub use synthesis::synthesize_state_prep;

@@ -6,16 +6,13 @@
 //! compares Elivagar-generated circuits against device-unaware circuits
 //! routed with SABRE, which this module reproduces.
 
-use elivagar_cache::{Cache, CacheKey, KeyBuilder};
 use elivagar_circuit::{Circuit, Gate, Instruction};
 use elivagar_device::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
 /// Result of routing: the physical circuit plus the logical-to-physical
 /// mappings before and after execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoutedCircuit {
     /// The executable circuit over the device's physical qubits; every
     /// two-qubit gate acts on a coupled pair.
@@ -199,55 +196,6 @@ pub fn route<R: Rng + ?Sized>(
     }
 }
 
-/// Key fingerprinting one routing problem: the logical circuit, the
-/// coupling graph, the initial layout, and the routing seed (SABRE
-/// tie-breaks are seed-driven, so different seeds can legitimately route
-/// differently and must not share an entry).
-fn route_key(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial_mapping: &[usize],
-    seed: u64,
-) -> CacheKey {
-    let edges: Vec<usize> = topology.edges().iter().flat_map(|&(a, b)| [a, b]).collect();
-    KeyBuilder::new("route")
-        .circuit(circuit)
-        .u64(topology.num_qubits() as u64)
-        .usizes(&edges)
-        .usizes(initial_mapping)
-        .u64(seed)
-        .finish()
-}
-
-/// [`route`] through a content-addressed result cache.
-///
-/// A hit replays the previously routed circuit; a miss routes with
-/// `StdRng::seed_from_u64(seed)` and stores the result. Either path is
-/// bit-identical to calling [`route`] with that freshly seeded RNG, and a
-/// corrupt or unparseable entry silently degrades to a recompute.
-pub fn route_cached(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial_mapping: &[usize],
-    seed: u64,
-    cache: &Cache,
-) -> RoutedCircuit {
-    let key = route_key(circuit, topology, initial_mapping, seed);
-    if let Some(hit) = cache
-        .get(&key)
-        .and_then(|p| String::from_utf8(p).ok())
-        .and_then(|p| serde_json::from_str::<RoutedCircuit>(&p).ok())
-    {
-        return hit;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let routed = route(circuit, topology, initial_mapping, &mut rng);
-    if let Ok(payload) = serde_json::to_string(&routed) {
-        cache.put(&key, payload.as_bytes());
-    }
-    routed
-}
-
 /// Collects up to `limit` two-qubit successors of the front layer (the
 /// SABRE extended set).
 fn extended_set(
@@ -389,36 +337,6 @@ mod tests {
         // X lands on physical qubit 3; measured = [3, 1].
         assert_eq!(routed.circuit.instructions()[0].qubits, vec![3]);
         assert_eq!(routed.circuit.measured(), &[3, 1]);
-    }
-
-    #[test]
-    fn cached_route_is_bit_identical_cold_and_warm() {
-        let topo = Topology::line(4);
-        let c = all_to_all_circuit(4);
-        let mapping = [0, 1, 2, 3];
-        let cache = Cache::memory_only(16);
-        let mut rng = StdRng::seed_from_u64(11);
-        let plain = route(&c, &topo, &mapping, &mut rng);
-        let cold = route_cached(&c, &topo, &mapping, 11, &cache);
-        let warm = route_cached(&c, &topo, &mapping, 11, &cache);
-        assert_eq!(plain, cold, "cold cached route differs from plain route");
-        assert_eq!(cold, warm, "warm cached route differs from cold");
-    }
-
-    #[test]
-    fn cached_route_survives_a_corrupt_entry() {
-        let topo = Topology::ring(5);
-        let c = all_to_all_circuit(5);
-        let mapping = [4, 2, 0, 1, 3];
-        let cache = Cache::memory_only(16);
-        let reference = route_cached(&c, &topo, &mapping, 3, &cache);
-        // Poison the entry with garbage that is not a RoutedCircuit; the
-        // next lookup must fall back to recomputing, not panic or return
-        // a wrong answer.
-        let key = route_key(&c, &topo, &mapping, 3);
-        cache.put(&key, b"not json");
-        let rerouted = route_cached(&c, &topo, &mapping, 3, &cache);
-        assert_eq!(reference, rerouted);
     }
 
     #[test]

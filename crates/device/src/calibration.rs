@@ -242,11 +242,6 @@ impl Calibration {
         median(&self.readout_error)
     }
 
-    /// Median of the per-qubit single-qubit gate errors.
-    pub fn median_gate1q_error(&self) -> f64 {
-        median(&self.gate1q_error)
-    }
-
     /// Median of the per-edge two-qubit gate errors.
     pub fn median_gate2q_error(&self) -> f64 {
         median(&self.gate2q_error)

@@ -35,7 +35,6 @@ use crate::search::SearchStage;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// Identity of the search a journal belongs to.
@@ -198,11 +197,11 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> CheckpointError {
     }
 }
 
-// ---- CRC32 (IEEE 802.3, reflected) -----------------------------------------
+// ---- CRC-footed file format ------------------------------------------------
 
-/// CRC32 (IEEE) of a byte slice — the footer checksum of checkpoint files,
-/// shared with the result cache's on-disk entries.
-pub use elivagar_cache::crc32;
+/// The CRC-footed file format of checkpoint files, shared with the
+/// result cache's on-disk entries and the serve daemon's artifacts.
+pub use elivagar_cache::{check_footer, crc32, write_footed};
 
 // ---- save / load -----------------------------------------------------------
 
@@ -222,27 +221,10 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
         path: path.display().to_string(),
         reason: format!("journal failed to serialize: {e:?}"),
     })?;
-    let content = format!("{body}\n{:08x}\n", crc32(body.as_bytes()));
+    let written =
+        write_footed(path, body.as_bytes(), ".tmp").map_err(|(at, e)| io_err(&at, &e))?;
     elivagar_obs::metrics::CHECKPOINT_SAVES.add(1);
-    elivagar_obs::metrics::CHECKPOINT_BYTES.add(content.len() as u64);
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-        file.write_all(content.as_bytes())
-            .map_err(|e| io_err(&tmp, &e))?;
-        file.sync_all().map_err(|e| io_err(&tmp, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
-    // Make the rename itself durable. Directory fsync is advisory on some
-    // platforms, so failures are not fatal.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    elivagar_obs::metrics::CHECKPOINT_BYTES.add(written);
 
     // Chaos hook: simulate a torn write that the atomic protocol failed to
     // prevent (e.g. a dishonest disk) by chopping the committed file.
@@ -251,8 +233,7 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
             .write(true)
             .open(path)
             .map_err(|e| io_err(path, &e))?;
-        file.set_len(content.len() as u64 / 2)
-            .map_err(|e| io_err(path, &e))?;
+        file.set_len(written / 2).map_err(|e| io_err(path, &e))?;
     }
     sw.record(&elivagar_obs::metrics::CHECKPOINT_SAVE_NS);
     Ok(())
@@ -267,21 +248,8 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
 /// the CRC32 does not match the body.
 pub fn load(path: &Path) -> Result<Journal, CheckpointError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    let stripped = text
-        .strip_suffix('\n')
-        .ok_or_else(|| corrupt(path, "missing trailing newline (truncated write)"))?;
-    let (body, footer) = stripped
-        .rsplit_once('\n')
-        .ok_or_else(|| corrupt(path, "missing checksum footer"))?;
-    let expected = u32::from_str_radix(footer.trim(), 16)
-        .map_err(|_| corrupt(path, format!("unparseable checksum footer {footer:?}")))?;
-    let actual = crc32(body.as_bytes());
-    if actual != expected {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch: body {actual:08x} != footer {expected:08x}"),
-        ));
-    }
+    let body_len = check_footer(text.as_bytes()).map_err(|r| corrupt(path, r))?.len();
+    let body = &text[..body_len];
     serde_json::from_str(body).map_err(|e| corrupt(path, format!("journal failed to parse: {e:?}")))
 }
 

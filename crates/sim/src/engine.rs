@@ -620,11 +620,6 @@ impl MultiProgram {
         }
     }
 
-    /// Wraps already-compiled programs.
-    pub fn from_programs(programs: Vec<Program>) -> MultiProgram {
-        MultiProgram { programs }
-    }
-
     /// Number of member programs.
     pub fn len(&self) -> usize {
         self.programs.len()

@@ -11,14 +11,12 @@
 //! * [`noise`] — Pauli / damping / readout channel descriptions;
 //! * [`trajectory`] — Monte-Carlo noisy execution for both engines;
 //! * [`density`] — exact density-matrix simulation, the ground truth the
-//!   trajectory engine is validated against;
+//!   trajectory and Pauli-frame engines are validated against
+//!   (`tests/cross_simulator.rs`);
 //! * [`engine`] — the batched gate-fusion execution engine: compile a
 //!   circuit once into fused kernels ([`Program::compile`]), bind a
 //!   parameter vector ([`Program::bind`]), then execute whole batches of
 //!   feature vectors ([`BoundProgram::run_batch`]);
-//! * [`backend`] — the [`Backend`] trait, one `run` / `expectations` /
-//!   `sample_counts` surface over the state-vector, density-matrix, and
-//!   trajectory simulators;
 //! * [`runtime`] + [`parallel`] — the persistent work-stealing thread
 //!   pool every parallel region dispatches through (sized by
 //!   `ELIVAGAR_THREADS`), with order-preserving [`parallel::par_map`]
@@ -58,17 +56,6 @@
 //!    for large states). Results are bit-for-bit identical to running the
 //!    samples sequentially.
 //!
-//! # Migrating to the [`Backend`] trait
-//!
-//! Code that called `StateVector::run`, `DensityMatrix::run_noisy`, or
-//! `noisy_distribution` directly still works; the trait wraps those same
-//! engines behind one object-safe surface so callers can switch
-//! simulators (or accept `&dyn Backend`) without changing call sites:
-//! `StateVectorBackend.run(&circuit, &params, &features)` replaces
-//! `StateVector::run(&circuit, &params, &features)
-//!     .marginal_probabilities(circuit.measured())`, and hot loops should
-//! prefer the fused [`engine`] path.
-//!
 //! # Examples
 //!
 //! ```
@@ -85,7 +72,6 @@
 //! ```
 
 pub mod adjoint;
-pub mod backend;
 pub mod cancel;
 pub mod clifford;
 pub mod density;
@@ -103,9 +89,6 @@ pub mod trajectory;
 pub mod workspace;
 
 pub use adjoint::{AdjointProgram, Gradients, ZObservable};
-pub use backend::{
-    Backend, DensityMatrixBackend, StateVectorBackend, TrajectoryBackend,
-};
 pub use engine::{par_items_with_arena, BoundProgram, MultiItem, MultiProgram, Program, TILE_QUBITS};
 pub use cancel::CancelToken;
 pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};

@@ -324,7 +324,4 @@ awk -v i="$instrumented_ns" -v b="$bare_ns" 'BEGIN { exit !(i <= 1.05 * b) }' ||
   exit 1
 }
 
-# Benches can't rot: compile them without running.
-cargo bench --no-run --workspace
-
 echo "verify: OK"
