@@ -4,12 +4,14 @@
 //! adjoint minibatch gradient relative to the same minibatch's forward
 //! pass.
 //!
-//! Three forward workloads exercise the engine's distinct kernels at 14
-//! qubits (above `TILE_QUBITS`, so the cache-blocked executor engages):
-//! a dense mix (fused 1q/2q blocks), a diagonal-heavy chain (the
-//! dedicated diagonal slice kernels), and a repcap-shaped generated
-//! candidate. Their speedups over `StateVector::run` are recorded, not
-//! gated.
+//! Four forward workloads exercise the engine's distinct kernels: at 14
+//! qubits (above `TILE_QUBITS`, so the cache-blocked executor engages) a
+//! dense mix (fused 1q/2q blocks) and a diagonal-heavy chain (the
+//! dedicated diagonal slice kernels); at 10 qubits a repcap-shaped
+//! generated candidate and a generated MNIST-10 candidate on
+//! `ibm_guadalupe`, the circuit shape perfbench's `oneshot-mnist10` runs
+//! through RepCap (36 feature embeddings re-fused per sample). Their
+//! speedups over `StateVector::run` are recorded, not gated.
 //!
 //! The gradient workload is `batch_gradient` over a 32-sample minibatch
 //! of the repcap-shaped candidate. Its yardstick is the best current
@@ -28,6 +30,7 @@
 //! same build); per-gate throughput is also recorded because it is
 //! machine-relative but workload-independent.
 
+use elivagar::{generate_candidate, SearchConfig};
 use elivagar_bench::{median, time_ns, time_reps};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_ml::{batch_gradient, cross_entropy, GradientMethod, QuantumClassifier};
@@ -121,12 +124,10 @@ fn diagonal_circuit(n: usize) -> Circuit {
     c
 }
 
-fn repcap_style_circuit() -> Circuit {
-    use elivagar::{generate_candidate, SearchConfig};
-    let device = elivagar_device::devices::ibmq_kolkata();
-    let config = SearchConfig::for_task(10, 60, 4, 4);
+/// A generated candidate circuit for `config` on `device` (seed 3).
+fn generated_circuit(device: &elivagar_device::Device, config: &SearchConfig) -> Circuit {
     let mut rng = StdRng::seed_from_u64(3);
-    generate_candidate(&device, &config, &mut rng).circuit
+    generate_candidate(device, config, &mut rng).circuit
 }
 
 fn feature_batch(samples: usize, dim: usize) -> Vec<Vec<f64>> {
@@ -195,13 +196,23 @@ fn main() {
     let n = TILE_QUBITS + 2;
     let dense = dense_circuit(n);
     let diagonal = diagonal_circuit(n);
-    let repcap = repcap_style_circuit();
+    let repcap = generated_circuit(
+        &elivagar_device::devices::ibmq_kolkata(),
+        &SearchConfig::for_task(10, 60, 4, 4),
+    );
+    // perfbench's `oneshot-mnist10` circuit shape.
+    let mnist = elivagar_datasets::spec("mnist-10").expect("mnist-10 is a Table 2 benchmark");
+    let mnist10 = generated_circuit(
+        &elivagar_device::devices::ibm_guadalupe(),
+        &SearchConfig::for_task(mnist.qubits, mnist.params, mnist.feature_dim, mnist.classes),
+    );
 
     let mut forward = Vec::new();
     for (name, circuit) in [
         ("dense_14q", &dense),
         ("diagonal_14q", &diagonal),
         ("repcap_candidate_10q", &repcap),
+        ("mnist10_candidate_10q", &mnist10),
     ] {
         let params: Vec<f64> = (0..circuit.num_trainable_params())
             .map(|i| 0.05 * i as f64)

@@ -87,9 +87,16 @@ struct Member {
 /// The epochs (1-based counts of completed epochs) after which halving
 /// rungs fire. Strictly increasing; rungs that would fire before the first
 /// epoch completes are dropped.
+///
+/// Rung `r` fires after `epochs >> (rungs - r)`. A shift of `usize::BITS`
+/// or more leaves no epoch, so only the last `usize::BITS - 1` rungs can
+/// fire, and only their shifts are visited: any `rungs` is safe and
+/// cheap.
 fn rung_epochs(epochs: usize, rungs: usize) -> Vec<usize> {
-    let mut fire: Vec<usize> = (0..rungs)
-        .map(|r| epochs >> (rungs - r))
+    let max_shift = rungs.min(usize::BITS as usize - 1);
+    let mut fire: Vec<usize> = (1..=max_shift)
+        .rev()
+        .map(|shift| epochs >> shift)
         .filter(|&e| e >= 1)
         .collect();
     fire.dedup();
@@ -559,5 +566,17 @@ mod tests {
         assert_eq!(rung_epochs(8, 0), Vec::<usize>::new());
         assert_eq!(rung_epochs(4, 4), vec![1, 2]);
         assert_eq!(rung_epochs(1, 3), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn rung_schedule_survives_huge_rung_counts() {
+        // A shift of usize::BITS or more must never run: it panics in
+        // debug builds and wraps to a non-increasing schedule in release.
+        assert_eq!(rung_epochs(30, 64), vec![1, 3, 7, 15]);
+        assert_eq!(rung_epochs(30, usize::MAX), vec![1, 3, 7, 15]);
+        assert_eq!(
+            rung_epochs(usize::MAX, usize::MAX).len(),
+            usize::BITS as usize - 1
+        );
     }
 }

@@ -812,8 +812,8 @@ pub(crate) fn apply_fused2(psi: &mut StateVector, qa: usize, qb: usize, m: &Mat4
 // 2^(n-2) butterfly bases via bit insertion (no scan-and-filter over all
 // 2^n indices) and unrolls the 4x4 multiply.
 
-/// AVX2+FMA butterfly kernels, used on x86-64 hosts that report the
-/// feature set at runtime (scalar fallback otherwise).
+/// AVX2+FMA butterfly kernels for ops off qubit 0, used on x86-64 hosts
+/// that report the feature set at runtime.
 ///
 /// Amplitudes are processed two at a time per 256-bit lane: `C64` is
 /// `#[repr(C)]`, so a `[C64]` run is an interleaved `[re, im, re, im]`
@@ -823,6 +823,11 @@ pub(crate) fn apply_fused2(psi: &mut StateVector, qa: usize, qb: usize, m: &Mat4
 /// so SIMD results may differ from scalar at the last ulp; every
 /// equivalence test budgets far above that (1e-10), and batch/sequential
 /// determinism is unaffected because both run the same kernel.
+///
+/// These kernels need every quadrant run to hold an even number of
+/// amplitudes, so the op must stay off qubit 0. Ops on qubit 0 take the
+/// no-FMA kernels of `crate::exact_simd` (AVX2 only), which equal the
+/// scalar loops under `to_bits`; hosts without AVX2 run the scalar loops.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::{swap_operands, C64};
@@ -1147,7 +1152,8 @@ mod simd {
 
 /// Applies a single-qubit unitary to a slice whose length is a multiple of
 /// `2^(q+1)` (a whole state or an independent block of one). Qubit 0, and
-/// hosts without AVX2+FMA, take the exact (no-FMA) state-vector kernel.
+/// hosts without AVX2+FMA, take the exact (no-FMA) state-vector kernel,
+/// which is AVX2 where the host has it.
 fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1168,7 +1174,8 @@ fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
 /// butterfly always sees the lower wire as the low subspace bit, and the
 /// four amplitude quadrants are traversed as zipped sub-slices: exactly
 /// the `2^(n-2)` butterflies execute, with no index filtering and no
-/// bounds checks in the inner loop.
+/// bounds checks in the inner loop. Ops on qubit 0 round exactly like
+/// the scalar loop.
 fn apply_mat2_slice(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1176,6 +1183,17 @@ fn apply_mat2_slice(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
             // SAFETY: `available()` confirmed AVX2+FMA at runtime and
             // `min(qa, qb) >= 1` satisfies the kernel's contract.
             unsafe { simd::apply_mat2_slice(amps, qa, qb, m) };
+            return;
+        }
+        if qa.min(qb) == 0 && crate::exact_simd::available() {
+            let (hi, m) = if qa == 0 {
+                (qb, *m)
+            } else {
+                (qa, swap_operands(m))
+            };
+            // SAFETY: `available()` confirmed AVX2 at runtime, and `m`
+            // now has qubit 0 as its low operand.
+            unsafe { crate::exact_simd::apply_mat2_q0(amps, hi, &m) };
             return;
         }
     }
@@ -1208,7 +1226,8 @@ fn apply_mat2_slice_scalar(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
 
 /// Applies a diagonal single-qubit unitary (`d = [d_clear, d_set]`) to a
 /// slice whose length is a multiple of `2^(q+1)`: one complex multiply
-/// per amplitude, half the memory traffic of the dense butterfly.
+/// per amplitude, half the memory traffic of the dense butterfly. Qubit 0
+/// rounds exactly like the scalar loop.
 fn apply_diag1_slice(amps: &mut [C64], q: usize, d: &[C64; 2]) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1216,6 +1235,11 @@ fn apply_diag1_slice(amps: &mut [C64], q: usize, d: &[C64; 2]) {
             // SAFETY: `available()` confirmed AVX2+FMA at runtime and
             // `q >= 1` satisfies the kernel's alignment contract.
             unsafe { simd::apply_diag1_slice(amps, q, d) };
+            return;
+        }
+        if q == 0 && crate::exact_simd::available() {
+            // SAFETY: `available()` confirmed AVX2 at runtime.
+            unsafe { crate::exact_simd::apply_diag1_q0(amps, d) };
             return;
         }
     }
@@ -1234,7 +1258,8 @@ fn apply_diag1_slice_scalar(amps: &mut [C64], q: usize, d: &[C64; 2]) {
 }
 
 /// Applies a diagonal two-qubit unitary (`d` indexed `bit_qa + 2*bit_qb`)
-/// to a slice whose length is a multiple of `2^(max(qa,qb)+1)`.
+/// to a slice whose length is a multiple of `2^(max(qa,qb)+1)`. Ops on
+/// qubit 0 round exactly like the scalar loop.
 fn apply_diag2_slice(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1242,6 +1267,17 @@ fn apply_diag2_slice(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]) {
             // SAFETY: `available()` confirmed AVX2+FMA at runtime and
             // `min(qa, qb) >= 1` satisfies the kernel's contract.
             unsafe { simd::apply_diag2_slice(amps, qa, qb, d) };
+            return;
+        }
+        if qa.min(qb) == 0 && crate::exact_simd::available() {
+            let (hi, d) = if qa == 0 {
+                (qb, *d)
+            } else {
+                (qa, [d[0], d[2], d[1], d[3]])
+            };
+            // SAFETY: `available()` confirmed AVX2 at runtime, and `d` is
+            // now indexed `bit_0 + 2*bit_hi`.
+            unsafe { crate::exact_simd::apply_diag2_q0(amps, hi, &d) };
             return;
         }
     }
@@ -1269,7 +1305,8 @@ fn apply_diag2_slice_scalar(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]
 /// `Re <lam| M_q |psi>` over matched amplitude slices — the read-only
 /// bilinear sibling of [`apply_mat1_slice`]. The streamed adjoint calls
 /// this once per gradient slot, so it shares the AVX2 butterfly kernels
-/// rather than the scalar accumulation loop.
+/// rather than the scalar accumulation loop. At qubit 0 it keeps the
+/// scalar loop's single serial accumulator and its bits.
 pub(crate) fn bilinear_mat1(lam: &[C64], psi: &[C64], q: usize, m: &Mat2) -> f64 {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1277,6 +1314,10 @@ pub(crate) fn bilinear_mat1(lam: &[C64], psi: &[C64], q: usize, m: &Mat2) -> f64
             // SAFETY: `available()` confirmed AVX2+FMA at runtime and
             // `q >= 1` satisfies the kernel's alignment contract.
             return unsafe { simd::bilinear_mat1(lam, psi, q, m) };
+        }
+        if q == 0 && crate::exact_simd::available() {
+            // SAFETY: `available()` confirmed AVX2 at runtime.
+            return unsafe { crate::exact_simd::bilinear_mat1_q0(lam, psi, m) };
         }
     }
     bilinear_mat1_scalar(lam, psi, q, m)
@@ -1309,6 +1350,16 @@ pub(crate) fn bilinear_mat2(lam: &[C64], psi: &[C64], qa: usize, qb: usize, m: &
             // SAFETY: `available()` confirmed AVX2+FMA at runtime and
             // `min(qa, qb) >= 1` satisfies the kernel's contract.
             return unsafe { simd::bilinear_mat2(lam, psi, qa, qb, m) };
+        }
+        if qa.min(qb) == 0 && crate::exact_simd::available() {
+            let (hi, m) = if qa == 0 {
+                (qb, *m)
+            } else {
+                (qa, swap_operands(m))
+            };
+            // SAFETY: `available()` confirmed AVX2 at runtime, and `m`
+            // now has qubit 0 as its low operand.
+            return unsafe { crate::exact_simd::bilinear_mat2_q0(lam, psi, hi, &m) };
         }
     }
     bilinear_mat2_scalar(lam, psi, qa, qb, m)
@@ -1628,5 +1679,137 @@ mod tests {
             &StateVector::run(&c, &[], &[]),
             1e-12,
         );
+    }
+}
+
+/// Every kernel an op touching qubit 0 runs must equal its scalar twin
+/// under `to_bits` (on AVX2 hosts these are the `exact_simd` kernels), so
+/// RepCap values, gradients and goldens do not depend on which path ran.
+#[cfg(test)]
+mod qubit0_exactness {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    fn entry(rng: &mut StdRng) -> C64 {
+        C64::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0))
+    }
+
+    /// A random unnormalized state with some exact zeros mixed in.
+    fn random_amps(n: usize, rng: &mut StdRng) -> Vec<C64> {
+        (0..1usize << n)
+            .map(|_| {
+                if rng.random_range(0..8) == 0 {
+                    C64::ZERO
+                } else {
+                    entry(rng)
+                }
+            })
+            .collect()
+    }
+
+    /// A random non-unitary matrix; with `diagonal`, its off-diagonal
+    /// entries are exactly zero, so the op router picks a diagonal kernel.
+    fn random_mat4(diagonal: bool, rng: &mut StdRng) -> Mat4 {
+        let mut m = [[C64::ZERO; 4]; 4];
+        for (r, row) in m.iter_mut().enumerate() {
+            for (c, cell) in row.iter_mut().enumerate() {
+                if r == c || !diagonal {
+                    *cell = entry(rng);
+                }
+            }
+        }
+        Mat4(m)
+    }
+
+    fn random_mat2(diagonal: bool, rng: &mut StdRng) -> Mat2 {
+        let off = |rng: &mut StdRng| if diagonal { C64::ZERO } else { entry(rng) };
+        Mat2([[entry(rng), off(rng)], [off(rng), entry(rng)]])
+    }
+
+    /// Every ordered operand pair on `n` qubits with qubit 0 in it.
+    fn pairs_on_qubit0(n: usize) -> impl Iterator<Item = (usize, usize)> {
+        (1..n).flat_map(|other| [(0, other), (other, 0)])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn two_qubit_ops_on_qubit0_match_scalar(
+            n in 2usize..=10,
+            diagonal in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = random_mat4(diagonal, &mut rng);
+            prop_assert_eq!(diag_of_mat4(&m).is_some(), diagonal);
+            let amps = random_amps(n, &mut rng);
+            for (qa, qb) in pairs_on_qubit0(n) {
+                let mut routed = amps.clone();
+                apply_static_op_slice(&mut routed, &Op::Two { qa, qb, m });
+                let mut dense = amps.clone();
+                apply_mat2_slice(&mut dense, qa, qb, &m);
+                let mut expected = amps.clone();
+                apply_mat2_slice_scalar(&mut expected, qa, qb, &m);
+                prop_assert_eq!(bits(&dense), bits(&expected), "dense n={} ({}, {})", n, qa, qb);
+                if let Some(d) = diag_of_mat4(&m) {
+                    expected = amps.clone();
+                    apply_diag2_slice_scalar(&mut expected, qa, qb, &d);
+                }
+                prop_assert_eq!(bits(&routed), bits(&expected), "routed n={} ({}, {})", n, qa, qb);
+            }
+        }
+
+        #[test]
+        fn diagonal_one_qubit_op_on_qubit0_matches_scalar(
+            n in 1usize..=10,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = random_mat2(true, &mut rng);
+            let d = diag_of_mat2(&m).expect("off-diagonals are zero");
+            let amps = random_amps(n, &mut rng);
+            let mut routed = amps.clone();
+            apply_static_op_slice(&mut routed, &Op::One { q: 0, m });
+            let mut direct = amps.clone();
+            apply_diag1_slice(&mut direct, 0, &d);
+            let mut expected = amps;
+            apply_diag1_slice_scalar(&mut expected, 0, &d);
+            prop_assert_eq!(bits(&direct), bits(&expected), "n={}", n);
+            prop_assert_eq!(bits(&routed), bits(&expected), "routed n={}", n);
+        }
+
+        #[test]
+        fn bilinears_on_qubit0_match_scalar(
+            n in 2usize..=10,
+            diagonal in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m1 = random_mat2(diagonal, &mut rng);
+            let m2 = random_mat4(diagonal, &mut rng);
+            let lam = random_amps(n, &mut rng);
+            let psi = random_amps(n, &mut rng);
+            prop_assert_eq!(
+                bilinear_mat1(&lam, &psi, 0, &m1).to_bits(),
+                bilinear_mat1_scalar(&lam, &psi, 0, &m1).to_bits(),
+                "n={}", n
+            );
+            for (qa, qb) in pairs_on_qubit0(n) {
+                prop_assert_eq!(
+                    bilinear_mat2(&lam, &psi, qa, qb, &m2).to_bits(),
+                    bilinear_mat2_scalar(&lam, &psi, qa, qb, &m2).to_bits(),
+                    "n={} ({}, {})", n, qa, qb
+                );
+            }
+        }
     }
 }

@@ -76,6 +76,8 @@ pub mod cancel;
 pub mod clifford;
 pub mod density;
 pub mod engine;
+#[cfg(target_arch = "x86_64")]
+mod exact_simd;
 pub mod faultpoint;
 pub mod frame;
 pub mod noise;

@@ -481,17 +481,18 @@ impl StateVector {
 
 /// Single-qubit butterfly over a slice whose length is a multiple of
 /// `2^(q+1)`, rounding exactly like scalar `C64` arithmetic: the AVX2
-/// kernel (runtime-detected) uses separate multiplies and `addsub`, never
-/// FMA, so each lane performs the scalar expression's roundings in the
-/// scalar order. The fused engine's FMA kernels trade that exactness for
-/// speed; the dense reference paths (`StateVector::run`, trajectories,
-/// RepCap's basis rotations, the reference adjoint) keep it.
+/// kernel (runtime-detected, `crate::exact_simd`) uses separate
+/// multiplies and `addsub`, never FMA, so each lane performs the scalar
+/// expression's roundings in the scalar order. The fused engine's FMA
+/// kernels for ops off qubit 0 trade that exactness for speed; the dense
+/// reference paths (`StateVector::run`, trajectories, RepCap's basis
+/// rotations, the reference adjoint) keep it.
 pub(crate) fn apply_mat1_exact(amps: &mut [C64], q: usize, m: &Mat2) {
     #[cfg(target_arch = "x86_64")]
     {
-        if exact_simd::available() {
+        if crate::exact_simd::available() {
             // SAFETY: `available()` confirmed AVX2 at runtime.
-            unsafe { exact_simd::apply_mat1(amps, q, m) };
+            unsafe { crate::exact_simd::apply_mat1(amps, q, m) };
             return;
         }
     }
@@ -511,101 +512,6 @@ fn apply_mat1_portable(amps: &mut [C64], q: usize, m: &Mat2) {
             let a1 = *s;
             *c = m00 * a0 + m01 * a1;
             *s = m10 * a0 + m11 * a1;
-        }
-    }
-}
-
-/// AVX2 kernels that round exactly like scalar `C64` arithmetic.
-///
-/// `C64` is `#[repr(C)]`, so a `[C64]` run is an interleaved
-/// `[re, im, re, im]` `f64` stream and one 256-bit register holds two
-/// amplitudes. The complex product `m * a` is `addsub(mr * a, mi *
-/// swap(a))`: even lanes give `mr*a.re - mi*a.im`, odd lanes `mr*a.im +
-/// mi*a.re` — the two roundings of each scalar product, then one rounding
-/// for the sum, as in `C64::mul`. The butterfly's `m00*a0 + m01*a1` is one
-/// more `add`, in the same operand order.
-#[cfg(target_arch = "x86_64")]
-mod exact_simd {
-    use elivagar_circuit::math::{Mat2, C64};
-    use std::arch::x86_64::*;
-
-    /// Whether the running CPU supports these kernels.
-    #[inline]
-    pub fn available() -> bool {
-        is_x86_feature_detected!("avx2")
-    }
-
-    /// `(re + i*im) * a` for two interleaved amplitudes `a`, with `sw` the
-    /// same amplitudes with real and imaginary lanes swapped.
-    ///
-    /// # Safety
-    /// Requires AVX2 (see [`available`]).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cmul(re: __m256d, im: __m256d, a: __m256d, sw: __m256d) -> __m256d {
-        _mm256_addsub_pd(_mm256_mul_pd(re, a), _mm256_mul_pd(im, sw))
-    }
-
-    /// The butterfly of `super::apply_mat1_portable`, bit for bit. Like
-    /// it, walks whole `2^(q+1)` blocks and leaves a shorter tail alone.
-    ///
-    /// # Safety
-    /// Requires AVX2 (see [`available`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn apply_mat1(amps: &mut [C64], q: usize, m: &Mat2) {
-        let [[m00, m01], [m10, m11]] = m.0;
-        if q == 0 {
-            // Each butterfly is one register `[a0, a1]`: broadcast each
-            // half, and put the matrix rows in the halves, so the low half
-            // computes `m00*a0 + m01*a1` and the high half `m10*a0 +
-            // m11*a1`.
-            let c0re = _mm256_setr_pd(m00.re, m00.re, m10.re, m10.re);
-            let c0im = _mm256_setr_pd(m00.im, m00.im, m10.im, m10.im);
-            let c1re = _mm256_setr_pd(m01.re, m01.re, m11.re, m11.re);
-            let c1im = _mm256_setr_pd(m01.im, m01.im, m11.im, m11.im);
-            for pair in amps.chunks_exact_mut(2) {
-                let p = pair.as_mut_ptr().cast::<f64>();
-                let a = _mm256_loadu_pd(p);
-                let a0 = _mm256_permute2f128_pd(a, a, 0x00);
-                let a1 = _mm256_permute2f128_pd(a, a, 0x11);
-                let s0 = _mm256_permute_pd(a0, 0b0101);
-                let s1 = _mm256_permute_pd(a1, 0b0101);
-                let r = _mm256_add_pd(cmul(c0re, c0im, a0, s0), cmul(c1re, c1im, a1, s1));
-                _mm256_storeu_pd(p, r);
-            }
-            return;
-        }
-        let re = [
-            [_mm256_set1_pd(m00.re), _mm256_set1_pd(m01.re)],
-            [_mm256_set1_pd(m10.re), _mm256_set1_pd(m11.re)],
-        ];
-        let im = [
-            [_mm256_set1_pd(m00.im), _mm256_set1_pd(m01.im)],
-            [_mm256_set1_pd(m10.im), _mm256_set1_pd(m11.im)],
-        ];
-        let stride = 1usize << q;
-        for block in amps.chunks_exact_mut(stride << 1) {
-            let (clear, set) = block.split_at_mut(stride);
-            let pc = clear.as_mut_ptr().cast::<f64>();
-            let ps = set.as_mut_ptr().cast::<f64>();
-            // `stride` is even for q >= 1, so each half is a whole number
-            // of two-amplitude registers.
-            for k in (0..stride << 1).step_by(4) {
-                let a0 = _mm256_loadu_pd(pc.add(k));
-                let a1 = _mm256_loadu_pd(ps.add(k));
-                let s0 = _mm256_permute_pd(a0, 0b0101);
-                let s1 = _mm256_permute_pd(a1, 0b0101);
-                let r0 = _mm256_add_pd(
-                    cmul(re[0][0], im[0][0], a0, s0),
-                    cmul(re[0][1], im[0][1], a1, s1),
-                );
-                let r1 = _mm256_add_pd(
-                    cmul(re[1][0], im[1][0], a0, s0),
-                    cmul(re[1][1], im[1][1], a1, s1),
-                );
-                _mm256_storeu_pd(pc.add(k), r0);
-                _mm256_storeu_pd(ps.add(k), r1);
-            }
         }
     }
 }

@@ -52,14 +52,18 @@ done
 
 # Exact SIMD matrix: the vectorized RepCap measurement stage must equal
 # its per-pair oracle under to_bits (batched engine calls dispatch
-# through the pool), and the no-FMA kernels — StateVector::apply_mat1
-# (AVX2 and portable) and the pairwise TVD lanes — their scalar
-# references, at every pool size.
+# through the pool), and the no-FMA kernels their scalar references, at
+# every pool size: StateVector::apply_mat1 (AVX2 and portable), the
+# fused engine's kernels for ops on qubit 0 (dense and diagonal, one and
+# two qubits, both bilinears), and the pairwise TVD lanes. Each suite is
+# counted on its own, so a filter that matches nothing fails.
 for t in 1 2 4; do
   ELIVAGAR_THREADS="$t" run_counted "repcap oracle differential @ $t threads" \
     cargo test -q -p elivagar --lib repcap::tests
-  ELIVAGAR_THREADS="$t" run_counted "exact kernels @ $t threads" \
-    cargo test -q -p elivagar-sim --lib -- statevector::apply_mat1_exactness sampling::tests
+  for suite in statevector::apply_mat1_exactness engine::qubit0_exactness sampling::tests; do
+    ELIVAGAR_THREADS="$t" run_counted "exact kernels ($suite) @ $t threads" \
+      cargo test -q -p elivagar-sim --lib -- "$suite"
+  done
 done
 
 # Result-cache differential matrix: cache off, cold, and warm must agree
