@@ -1,16 +1,18 @@
 //! Records the cohort-training trajectory point (`BENCH_train.json`):
-//! per-candidate solo training versus the fused cross-candidate cohort
-//! path with successive-halving early termination.
+//! candidates trained one at a time versus the fused cross-candidate
+//! cohort path with successive-halving early termination.
 //!
 //! The workload trains a 16-candidate cohort (2–4 qubits, 1–2 layers —
 //! the size span a real top-k cohort shows) on the moons reference task
 //! for 16 epochs. The baseline trains every candidate to completion one
-//! after another with [`try_train`]; the contender calls [`train_cohort`]
-//! with 4 halving rungs, which prunes the cohort 16 → 8 → 4 → 2 → 1 at
-//! epochs 1/2/4/8 and therefore trains 48 member-epochs instead of 256.
-//! `scripts/verify.sh` gates on `speedup >= 3` and on `ranking_match`:
-//! with halving off, every member's outcome must be bit-identical to its
-//! solo run, so the loss-based ranking cannot move.
+//! after another with [`try_train`], which is a one-member cohort, so the
+//! baseline is sequential one-member cohorts; the contender calls
+//! [`train_cohort`] with 4 halving rungs, which prunes the cohort
+//! 16 → 8 → 4 → 2 → 1 at epochs 1/2/4/8 and therefore trains 48
+//! member-epochs instead of 256. `scripts/verify.sh` gates on
+//! `speedup >= 3` and on `ranking_match`: with halving off, every member's
+//! outcome must be bit-identical to its solo run, so the loss-based
+//! ranking cannot move.
 //!
 //! Wall times are compared within this one process (same thread count,
 //! same build); the JSON also records member-epoch counts, which are

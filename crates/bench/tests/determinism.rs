@@ -13,7 +13,9 @@
 //! pin those paths to the original sequential implementation exactly. The
 //! CNR, trajectory, and search goldens were captured after the per-task
 //! RNG-stream split (their draw order changed, intentionally) and pin the
-//! new streams.
+//! new streams. The training goldens were captured while `try_train` was
+//! still a loop of its own, before it became a one-member cohort, and pin
+//! the cohort loop to that loop's results.
 
 use elivagar::config::{Nsga2Config, SearchConfig};
 use elivagar::generate::generate_candidate;
@@ -21,7 +23,10 @@ use elivagar::{cnr, repcap, search};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_device::devices::ibm_lagos;
-use elivagar_ml::{batch_gradient, GradientMethod, QuantumClassifier};
+use elivagar_ml::{
+    batch_gradient, train_cohort, try_train, CohortOutcome, GradientMethod, QuantumClassifier,
+    TrainConfig,
+};
 use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
 use elivagar_sim::{noisy_clifford_distribution, noisy_distribution, CircuitNoise};
 use rand::rngs::StdRng;
@@ -94,6 +99,125 @@ fn adjoint_batch_gradient_bits_are_thread_count_invariant() {
     for (i, (&gi, &bits)) in g.gradient.iter().zip(&GRAD_BITS).enumerate() {
         assert_bits(gi, bits, &format!("gradient[{i}]"));
     }
+}
+
+/// The golden training task: the golden circuit as a binary classifier,
+/// trained on the golden search task's moons split (60 samples, so a
+/// batch size of 16 leaves a ragged last minibatch).
+fn golden_training_data() -> elivagar_datasets::Dataset {
+    moons(60, 20, 3).normalized(std::f64::consts::PI)
+}
+
+fn golden_train_config(method: GradientMethod) -> TrainConfig {
+    TrainConfig { epochs: 3, batch_size: 16, method, seed: 5, ..Default::default() }
+}
+
+fn assert_all_bits(actual: &[f64], golden: &[u64], what: &str) {
+    assert_eq!(actual.len(), golden.len(), "{what}: length");
+    for (i, (&a, &bits)) in actual.iter().zip(golden).enumerate() {
+        assert_bits(a, bits, &format!("{what}[{i}]"));
+    }
+}
+
+/// Training golden: `try_train` on the golden task, by both gradient
+/// paths. The loss history, the trained parameters and the execution
+/// count must land on these values at every thread count.
+#[test]
+fn try_train_bits_are_thread_count_invariant() {
+    let cases: [(GradientMethod, u64, [u64; 3], [u64; 6]); 2] = [
+        (
+            GradientMethod::Adjoint,
+            180,
+            [0x3fe0c72eb82b8187, 0x3fe075b06a196f76, 0x3fe063da96f502c2],
+            [
+                0xbff38aff0e8704b6,
+                0x3fe189c360a11c83,
+                0x3feaaf3bc0832d62,
+                0x3ffe722ca9ce228d,
+                0x3fbae0d417e50567,
+                0x3ffac96a096645db,
+            ],
+        ),
+        (
+            GradientMethod::ParameterShift,
+            2_700,
+            [0x3fe0c72eb82b8344, 0x3fe075b06a1975a3, 0x3fe063da96f50a1b],
+            [
+                0xbff38aff0e870ffc,
+                0x3fe189c360aa5e88,
+                0x3feaaf3bc08381f1,
+                0x3ffe722ca9cdef67,
+                0x3fbae25e7d11648a,
+                0x3ffac96a0966596e,
+            ],
+        ),
+    ];
+    let model = QuantumClassifier::new(golden_circuit(), 2);
+    let data = golden_training_data();
+    for (method, executions, loss_bits, param_bits) in cases {
+        let outcome =
+            try_train(&model, data.train(), &golden_train_config(method)).expect("healthy run");
+        assert_eq!(outcome.executions, executions, "{method:?} executions");
+        assert_all_bits(&outcome.loss_history, &loss_bits, &format!("{method:?} loss"));
+        assert_all_bits(&outcome.params, &param_bits, &format!("{method:?} params"));
+    }
+}
+
+/// Four cohort members: the golden circuit with one extra trainable
+/// rotation on a different qubit each.
+fn golden_cohort() -> Vec<QuantumClassifier> {
+    (0..4)
+        .map(|q| {
+            let mut c = golden_circuit();
+            c.push_gate(Gate::Rx, &[q], &[ParamExpr::trainable(6)]);
+            QuantumClassifier::new(c, 2)
+        })
+        .collect()
+}
+
+/// Training golden: a 4-member cohort with 2 successive-halving rungs
+/// (after epochs 2 and 4 of 8). The prune schedule and the survivor's
+/// loss history and parameters must land on these values at every
+/// thread count.
+#[test]
+fn halving_cohort_bits_are_thread_count_invariant() {
+    const PRUNED_AT: [Option<usize>; 4] = [Some(4), Some(2), None, Some(2)];
+    const SURVIVOR_LOSS_BITS: [u64; 8] = [
+        0x3fe093f0aa29ec03,
+        0x3fe0737630515567,
+        0x3fdfcb09266ed037,
+        0x3fdf99368ce42fef,
+        0x3fdf6870ba8cf8b2,
+        0x3fdeda1fd2e6fb1a,
+        0x3fde44740d913ada,
+        0x3fde136297a8d82e,
+    ];
+    const SURVIVOR_PARAM_BITS: [u64; 7] = [
+        0xbff0a8eb5e5598f5,
+        0x3fdd67ad345e98c7,
+        0x3fe4f6e4eacd7bd8,
+        0x3ffba888a122f19a,
+        0x3fb1f01007153795,
+        0x3ff917ef64c65926,
+        0x3fd543e5903aa1ab,
+    ];
+    let config = TrainConfig {
+        epochs: 8,
+        halving_rungs: 2,
+        cohort: 4,
+        ..golden_train_config(GradientMethod::Adjoint)
+    };
+    let results = train_cohort(&golden_cohort(), golden_training_data().train(), &config);
+    let outcomes: Vec<&CohortOutcome> =
+        results.iter().map(|r| r.as_ref().expect("healthy run")).collect();
+    let pruned: Vec<Option<usize>> = outcomes.iter().map(|o| o.pruned_at_epoch).collect();
+    assert_eq!(pruned, PRUNED_AT, "prune epochs");
+    let survivor = outcomes
+        .iter()
+        .find(|o| o.pruned_at_epoch.is_none())
+        .expect("one member survives");
+    assert_all_bits(&survivor.outcome.loss_history, &SURVIVOR_LOSS_BITS, "survivor loss");
+    assert_all_bits(&survivor.outcome.params, &SURVIVOR_PARAM_BITS, "survivor params");
 }
 
 /// Pre-runtime golden: batched RepCap must reproduce the original

@@ -7,7 +7,7 @@
 //! executions through the parameter-shift rule — which is exactly why
 //! training-based QCS methods scale so poorly.
 
-use crate::loss::{cross_entropy, cross_entropy_into};
+use crate::loss::cross_entropy_into;
 use crate::model::QuantumClassifier;
 use elivagar_circuit::{Gate, ParamSource};
 use elivagar_sim::parallel::par_map;
@@ -88,14 +88,9 @@ fn weighted_expectation(
     })
 }
 
-/// Where a trainable parameter is used in the circuit.
-fn usage_sites(model: &QuantumClassifier, index: usize) -> Vec<(usize, f64)> {
-    let mut sites = Vec::new();
-    usage_sites_into(model, index, &mut sites);
-    sites
-}
-
-/// [`usage_sites`] into a caller-recycled buffer (cleared and refilled).
+/// Where trainable parameter `index` is used in the circuit, as
+/// `(instruction, scale)` pairs, into a caller-recycled buffer (cleared
+/// and refilled).
 fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(usize, f64)>) {
     sites.clear();
     for (i, ins) in model.circuit().instructions().iter().enumerate() {
@@ -109,58 +104,6 @@ fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(us
     }
 }
 
-/// Loss and gradient for one sample by the parameter-shift rule (the
-/// hardware-accounting path). The forward pass and every shifted
-/// evaluation run the pre-compiled fused `program`.
-fn ps_sample_gradient(
-    model: &QuantumClassifier,
-    program: &Program,
-    params: &[f64],
-    features: &[f64],
-    label: usize,
-) -> (f64, Vec<f64>, u64) {
-    let expectations =
-        program.run_with(params, features, |psi| model.expectations_from_state(psi));
-    let logits = model.logits_from_expectations(&expectations);
-    let (loss, dlogits) = cross_entropy(&logits, label);
-    let weights = model.observable_weights(&dlogits);
-    let mut grad = vec![0.0; params.len()];
-    let mut executions = 1u64; // the forward pass
-    for (i, g) in grad.iter_mut().enumerate() {
-        let sites = usage_sites(model, i);
-        if sites.is_empty() {
-            continue;
-        }
-        let single_plain_site = sites.len() == 1
-            && (sites[0].1.abs() - 1.0).abs() < 1e-12
-            && shift_rule(model.circuit().instructions()[sites[0].0].gate).is_some();
-        if single_plain_site {
-            let gate = model.circuit().instructions()[sites[0].0].gate;
-            let rule = shift_rule(gate).expect("checked above");
-            let sign = sites[0].1; // +1 or -1
-            for &(shift, coeff) in rule {
-                let mut shifted = params.to_vec();
-                shifted[i] += sign * shift;
-                *g += sign * coeff * weighted_expectation(program, &shifted, features, &weights);
-                executions += 1;
-            }
-        } else {
-            // Shared or scaled parameter: central difference (still
-            // two executions, like a shift).
-            let h = 1e-4;
-            let mut plus = params.to_vec();
-            let mut minus = params.to_vec();
-            plus[i] += h;
-            minus[i] -= h;
-            let ep = weighted_expectation(program, &plus, features, &weights);
-            let em = weighted_expectation(program, &minus, features, &weights);
-            *g += (ep - em) / (2.0 * h);
-            executions += 2;
-        }
-    }
-    (loss, grad, executions)
-}
-
 /// Loss and gradient for one sample by the streamed adjoint: a single
 /// forward sweep through the fused [`AdjointProgram`], the classifier
 /// loss and effective observable computed from the final state in the
@@ -169,7 +112,7 @@ fn ps_sample_gradient(
 /// entries); returns `(loss, executions)`.
 ///
 /// All intermediates live in the per-thread [`GRAD_SCRATCH`], so a
-/// warmed-up call performs no heap allocation. The solo
+/// warmed-up call performs no heap allocation. The single-model
 /// ([`batch_gradient`]) and cohort ([`cohort_batch_gradients`]) paths both
 /// funnel through this function, so their per-sample float sequences are
 /// bit-for-bit identical.
@@ -245,7 +188,19 @@ pub fn batch_gradient(
         GradientMethod::ParameterShift => {
             let program = Program::compile(model.circuit());
             par_map(&indices, |&i| {
-                ps_sample_gradient(model, &program, params, &features[i], labels[i])
+                let mut grad = vec![0.0; params.len()];
+                let (loss, executions) = program.run_with(params, &features[i], |psi| {
+                    shift_sample_gradient(
+                        model,
+                        &program,
+                        params,
+                        &features[i],
+                        labels[i],
+                        psi,
+                        &mut grad,
+                    )
+                });
+                (loss, grad, executions)
             })
         }
     };
@@ -267,8 +222,8 @@ pub fn batch_gradient(
     BatchGradient { loss, gradient, executions }
 }
 
-/// Per-worker scratch for the cohort gradient path: every intermediate the
-/// per-sample pipeline needs, recycled across calls so the steady state
+/// Per-worker scratch for the per-sample gradient kernels: every
+/// intermediate they need, recycled across calls so the steady state
 /// allocates nothing.
 struct GradScratch {
     expectations: Vec<f64>,
@@ -296,14 +251,13 @@ thread_local! {
     });
 }
 
-/// [`ps_sample_gradient`] for the fused cohort path: the forward state
-/// `psi` has already been produced by the multi-program dispatch, and the
-/// gradient is written into `grad_out` (the caller's arena slice) instead
-/// of a fresh vector. Every float op runs in the same order on the same
-/// values as [`ps_sample_gradient`], so the loss and gradient are
-/// bit-for-bit identical.
-#[allow(clippy::too_many_arguments)]
-fn ps_cohort_sample_gradient(
+/// Loss and gradient for one sample by the parameter-shift rule (the
+/// hardware-accounting path), given the sample's forward state `psi`
+/// (from `program.run_with` or a multi-program dispatch). Every shifted
+/// evaluation runs the pre-compiled fused `program`. The gradient lands in
+/// `grad_out` (first `params.len()` entries); returns
+/// `(loss, executions)`. Intermediates live in [`GRAD_SCRATCH`].
+fn shift_sample_gradient(
     model: &QuantumClassifier,
     program: &Program,
     params: &[f64],
@@ -433,7 +387,7 @@ pub fn cohort_batch_gradients(
                 out,
                 |_, item, psi, slice| {
                     let m = item.member as usize;
-                    ps_cohort_sample_gradient(
+                    shift_sample_gradient(
                         &models[m],
                         multi.program(m),
                         &params[m],

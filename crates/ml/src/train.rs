@@ -1,16 +1,16 @@
-//! The training loop and evaluation helpers, with numeric guardrails: a
-//! non-finite loss or gradient aborts the attempt before it can poison the
-//! optimizer state, and [`try_train`] retries from a fresh seed split with
-//! a backed-off step size before giving up.
+//! The training entry points and evaluation helpers. [`try_train`] is a
+//! one-member [`crate::cohort::train_cohort`], so its numeric guardrails
+//! are the cohort's: a non-finite loss or gradient aborts the attempt
+//! before it can poison the optimizer state, and the attempt is retried
+//! from a fresh seed split with a backed-off step size before giving up.
 
-use crate::gradient::{batch_gradient, GradientMethod};
+use crate::cohort::train_cohort;
+use crate::gradient::GradientMethod;
 use crate::model::QuantumClassifier;
-use crate::optim::Adam;
 use elivagar_datasets::Split;
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution, TaskSeeds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use elivagar_sim::noisy_distribution;
+use rand::Rng;
 use std::fmt;
 
 /// Training hyperparameters. The defaults follow the paper's methodology
@@ -145,96 +145,16 @@ pub fn train(model: &QuantumClassifier, data: &Split, config: &TrainConfig) -> T
     try_train(model, data, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// One attempt's terminal condition.
-enum AttemptFailure {
-    /// Retryable: re-initialize and back off the step size.
-    NonFinite { epoch: usize, message: String },
-    /// Terminal: retrying would only spend more budget.
-    Budget { spent: u64, budget: u64 },
-}
-
-/// Runs one training attempt from `seed` at `learning_rate`, aborting on
-/// the first non-finite loss/gradient or budget overrun. `executions`
-/// accumulates across attempts so the budget covers retries too.
-fn train_attempt(
-    model: &QuantumClassifier,
-    data: &Split,
-    config: &TrainConfig,
-    seed: u64,
-    learning_rate: f64,
-    attempt: usize,
-    executions: &mut u64,
-) -> Result<(Vec<f64>, Vec<f64>), AttemptFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut params = init_params(model.num_params(), &mut rng);
-    let mut opt = Adam::new(params.len(), learning_rate);
-    let mut loss_history = Vec::with_capacity(config.epochs);
-
-    let n = data.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut batch_counter = 0u64;
-    for epoch in 0..config.epochs {
-        let _epoch_span = elivagar_obs::span!("train_epoch", epoch = epoch);
-        let epoch_sw = elivagar_obs::metrics::Stopwatch::start();
-        // Shuffle.
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
-        }
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size) {
-            let features: Vec<Vec<f64>> =
-                chunk.iter().map(|&i| data.features[i].clone()).collect();
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
-            let bg = batch_gradient(model, &params, &features, &labels, config.method);
-            *executions += bg.executions;
-            if let Some(budget) = config.max_executions {
-                if *executions > budget {
-                    return Err(AttemptFailure::Budget {
-                        spent: *executions,
-                        budget,
-                    });
-                }
-            }
-            // Chaos site: poisons the minibatch loss with NaN when armed.
-            // The key encodes (attempt, batch) so a retry sees fresh draws.
-            let loss = elivagar_sim::faultpoint::poison(
-                "train::batch",
-                ((attempt as u64) << 48) | batch_counter,
-                bg.loss,
-            );
-            batch_counter += 1;
-            // Guardrail: never let a non-finite step into the optimizer —
-            // Adam's moment estimates would stay poisoned forever.
-            if !loss.is_finite() || !bg.is_finite() {
-                return Err(AttemptFailure::NonFinite {
-                    epoch,
-                    message: format!(
-                        "non-finite loss {loss} in epoch {epoch}, batch {batches}"
-                    ),
-                });
-            }
-            opt.step(&mut params, &bg.gradient);
-            epoch_loss += loss;
-            batches += 1;
-        }
-        loss_history.push(epoch_loss / batches as f64);
-        elivagar_obs::metrics::TRAIN_EPOCHS.add(1);
-        epoch_sw.record(&elivagar_obs::metrics::TRAIN_EPOCH_NS);
-    }
-    Ok((params, loss_history))
-}
-
 /// Trains a classifier on a split, degrading gracefully on numeric faults.
 ///
-/// The first attempt reproduces the historical [`train`] behavior exactly
-/// (same seed, same step size, bit-identical results). If an attempt
-/// produces a non-finite loss or gradient, it is abandoned *before* the
-/// optimizer consumes the poisoned value, and training restarts from the
-/// next split of the seed with the learning rate halved — up to
+/// This is a one-member [`train_cohort`]. The first attempt starts from
+/// `config.seed` at `config.learning_rate`. If an attempt produces a
+/// non-finite loss or gradient, it is abandoned *before* the optimizer
+/// consumes the poisoned value, and training restarts from the next split
+/// of the seed with the learning rate halved — up to
 /// [`TrainConfig::nan_retries`] times. Executions spent on failed attempts
-/// count toward [`TrainConfig::max_executions`].
+/// count toward [`TrainConfig::max_executions`]. Halving rungs never prune
+/// a lone member.
 ///
 /// # Errors
 ///
@@ -249,43 +169,58 @@ pub fn try_train(
     data: &Split,
     config: &TrainConfig,
 ) -> Result<TrainOutcome, TrainError> {
-    assert!(!data.is_empty(), "cannot train on an empty split");
-    assert!(config.epochs > 0 && config.batch_size > 0, "degenerate train config");
-    let attempts = config.nan_retries + 1;
-    let reinit = TaskSeeds::from_base(config.seed);
+    let mut results = train_cohort(std::slice::from_ref(model), data, config);
+    results.pop().expect("one result per member").map(|member| member.outcome)
+}
+
+/// Test oracle: attempt 0 of training as a plain sequential loop over
+/// [`crate::gradient::batch_gradient`], without fault sites or retries.
+/// The cohort suite pins the production loop to it bit for bit.
+///
+/// # Panics
+///
+/// Panics if a minibatch diverges.
+#[cfg(test)]
+pub(crate) fn reference_train(
+    model: &QuantumClassifier,
+    data: &Split,
+    config: &TrainConfig,
+) -> Result<TrainOutcome, TrainError> {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    let mut params = init_params(model.num_params(), &mut rng);
+    let mut opt = crate::optim::Adam::new(params.len(), config.learning_rate);
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut loss_history = Vec::new();
     let mut executions = 0u64;
-    let mut last_fault: Option<(usize, String)> = None;
-    for attempt in 0..attempts {
-        // Attempt 0 is the legacy code path; retries re-initialize from a
-        // fresh seed split with exponentially backed-off step sizes.
-        let seed = if attempt == 0 { config.seed } else { reinit.seed(attempt) };
-        let learning_rate = config.learning_rate * 0.5f64.powi(attempt as i32);
-        if attempt > 0 {
-            elivagar_obs::metrics::TRAIN_RETRIES.add(1);
+    for epoch in 0..config.epochs {
+        for i in (1..order.len()).rev() {
+            let j = rng.random_range(0..=i);
+            order.swap(i, j);
         }
-        let _attempt_span = elivagar_obs::span!("train_attempt", attempt = attempt);
-        match train_attempt(model, data, config, seed, learning_rate, attempt, &mut executions) {
-            Ok((params, loss_history)) => {
-                return Ok(TrainOutcome {
-                    params,
-                    loss_history,
-                    executions,
-                })
+        let mut epoch_loss = 0.0;
+        for (batch, chunk) in order.chunks(config.batch_size).enumerate() {
+            let features: Vec<Vec<f64>> =
+                chunk.iter().map(|&i| data.features[i].clone()).collect();
+            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
+            let bg = crate::gradient::batch_gradient(
+                model,
+                &params,
+                &features,
+                &labels,
+                config.method,
+            );
+            executions += bg.executions;
+            if let Some(budget) = config.max_executions.filter(|&b| executions > b) {
+                return Err(TrainError::BudgetExhausted { spent: executions, budget });
             }
-            Err(AttemptFailure::NonFinite { epoch, message }) => {
-                last_fault = Some((epoch, message));
-            }
-            Err(AttemptFailure::Budget { spent, budget }) => {
-                return Err(TrainError::BudgetExhausted { spent, budget });
-            }
+            assert!(bg.is_finite(), "reference run diverged in epoch {epoch}, batch {batch}");
+            opt.step(&mut params, &bg.gradient);
+            epoch_loss += bg.loss;
         }
+        loss_history.push(epoch_loss / data.len().div_ceil(config.batch_size) as f64);
     }
-    let (epoch, message) = last_fault.expect("at least one attempt ran");
-    Err(TrainError::NonFinite {
-        attempts,
-        epoch,
-        message,
-    })
+    Ok(TrainOutcome { params, loss_history, executions })
 }
 
 /// Mean cross-entropy loss of a model over a split (noiseless, batched
@@ -340,6 +275,8 @@ mod tests {
     use super::*;
     use elivagar_circuit::{Circuit, Gate, ParamExpr};
     use elivagar_datasets::moons;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn moons_model() -> QuantumClassifier {
         // Angle embedding of both features, two trainable layers.
@@ -439,10 +376,14 @@ mod tests {
     fn try_train_attempt_zero_matches_legacy_train() {
         let data = moons(60, 20, 3).normalized(std::f64::consts::PI);
         let model = moons_model();
-        let config = TrainConfig { epochs: 3, batch_size: 16, ..Default::default() };
-        let legacy = train(&model, data.train(), &config);
-        let fallible = try_train(&model, data.train(), &config).expect("healthy run");
-        assert_eq!(legacy, fallible);
+        for method in [GradientMethod::Adjoint, GradientMethod::ParameterShift] {
+            let config =
+                TrainConfig { epochs: 3, batch_size: 16, method, ..Default::default() };
+            let legacy = reference_train(&model, data.train(), &config).expect("healthy run");
+            let fallible = try_train(&model, data.train(), &config).expect("healthy run");
+            assert_eq!(legacy, fallible, "{method:?}");
+            assert_eq!(train(&model, data.train(), &config), fallible, "{method:?}");
+        }
     }
 
     #[test]

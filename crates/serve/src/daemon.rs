@@ -115,7 +115,8 @@ pub enum AdmitError {
         /// The unknown name.
         name: String,
     },
-    /// The spec is self-inconsistent (e.g. zero candidates).
+    /// The spec is self-inconsistent (e.g. zero candidates or zero
+    /// training epochs).
     InvalidSpec {
         /// What is wrong.
         detail: String,
@@ -439,6 +440,9 @@ impl Daemon {
         }
         if spec.candidates == 0 {
             return self.reject(AdmitError::InvalidSpec { detail: "candidates must be >= 1".into() });
+        }
+        if spec.train_epochs == Some(0) {
+            return self.reject(AdmitError::InvalidSpec { detail: "train_epochs must be >= 1".into() });
         }
         if elivagar_datasets::spec(&spec.benchmark).is_none() {
             return self.reject(AdmitError::UnknownBenchmark { name: spec.benchmark });

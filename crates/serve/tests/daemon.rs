@@ -75,11 +75,15 @@ fn admission_rejections_are_typed_and_counted() {
     zero.candidates = 0;
     assert!(matches!(daemon.submit(zero), Err(AdmitError::InvalidSpec { .. })));
 
+    let mut zero_epochs = small_job("ze", 0);
+    zero_epochs.train_epochs = Some(0);
+    assert!(matches!(daemon.submit(zero_epochs), Err(AdmitError::InvalidSpec { .. })));
+
     let mut path_id = small_job("../escape", 0);
     path_id.id = "../escape".into();
     assert!(matches!(daemon.submit(path_id), Err(AdmitError::InvalidSpec { .. })));
 
-    assert_eq!(daemon.stats().rejected, 5);
+    assert_eq!(daemon.stats().rejected, 6);
     assert_eq!(daemon.stats().admitted, 1);
     assert_eq!(daemon.verify_conservation(), None);
     std::fs::remove_dir_all(&dir).unwrap();

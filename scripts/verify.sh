@@ -180,9 +180,10 @@ fi
 
 # Chaos pass: compile the fault-injection registry in and drive injected
 # panics, NaNs, torn checkpoint writes, and kill+resume through the full
-# pipeline (crates/elivagar/tests/chaos.rs).
+# pipeline (crates/elivagar/tests/chaos.rs), and poisoned minibatches
+# through the fused training loop's retry rounds (crates/ml/tests/chaos.rs).
 run_counted "chaos (elivagar)" cargo test -q -p elivagar --features fault-injection
-run_counted "chaos (elivagar-ml)" cargo test -q -p elivagar-ml --features fault-injection
+run_counted "chaos (elivagar-ml)" cargo test -q -p elivagar-ml --features fault-injection --test chaos
 run_counted "chaos (elivagar-serve)" cargo test -q -p elivagar-serve --features fault-injection
 
 # Serve pass: the search-as-a-service daemon must survive a real SIGKILL

@@ -25,16 +25,19 @@
 //! is printed to stderr, and the front member with the best composite
 //! score is trained like a one-shot winner.
 //!
-//! `--train-batch N` trains the top-N scored candidates as one cohort
-//! through fused cross-candidate engine dispatches instead of training
-//! only the winner afterwards; `--train-topk R` adds R successive-halving
-//! rungs that prune the worse half of the cohort at geometric epoch
-//! milestones. The winner's parameters come out of the cohort, bit
-//! identical to solo training when halving is off.
+//! The winner trains inside the search's train stage, the one training
+//! path: `--train-batch N` (default 1, the winner alone) trains the top-N
+//! scored candidates as one cohort through fused cross-candidate engine
+//! dispatches, and `--train-topk R` adds R successive-halving rungs that
+//! prune the worse half of the cohort at geometric epoch milestones. With
+//! halving off the winner's parameters are bit-identical for every N. A
+//! winner whose training fails is quarantined, and the command exits 1
+//! with the quarantine reason.
 //!
 //! `search` runs the full pipeline (search, train, noisy evaluation) and
 //! prints the selected circuit as OpenQASM with the trained angles bound
-//! to the first test sample. `--checkpoint` journals completed candidate
+//! to the first test sample. `--epochs` must be at least 1, for `search`
+//! and `submit` alike. `--checkpoint` journals completed candidate
 //! evaluations so an interrupted run can be picked up with `--resume`
 //! (which implies checkpointing to the same file); the resumed search
 //! reproduces the uninterrupted ranking bit for bit.
@@ -53,11 +56,11 @@
 //! loadable in `chrome://tracing` or Perfetto. QASM output on stdout is
 //! unaffected by either flag.
 
-use elivagar::{run_search, Nsga2Config, RunOptions, SearchConfig};
+use elivagar::{run_search, Nsga2Config, RunOptions, SearchConfig, SearchStage};
 use elivagar_circuit::to_qasm;
 use elivagar_datasets::{load_sized, spec, BENCHMARKS};
 use elivagar_device::{all_devices, circuit_noise, device_by_name};
-use elivagar_ml::{accuracy, noisy_accuracy, train, QuantumClassifier, TrainConfig};
+use elivagar_ml::{accuracy, noisy_accuracy, QuantumClassifier, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -157,6 +160,10 @@ fn main() -> ExitCode {
                     Ok(numbers) => numbers,
                     Err(code) => return code,
                 };
+            if epochs == 0 {
+                eprintln!("--epochs must be >= 1");
+                return ExitCode::FAILURE;
+            }
             let seed = seed as u64;
 
             let dataset = load_sized(&bench_name, seed, 400.min(bench.train), 120.min(bench.test));
@@ -180,17 +187,17 @@ fn main() -> ExitCode {
                 }
             }
 
-            // Cohort training inside the search stage: the top-k scored
-            // candidates train together through fused dispatches, with
-            // optional successive-halving rungs pruning the cohort.
-            let solo = TrainConfig { epochs, batch_size: 32, seed, ..Default::default() };
-            if args.iter().any(|a| a == "--train-batch" || a == "--train-topk") {
-                config = config.with_train(TrainConfig {
-                    cohort: cohort.max(1),
-                    halving_rungs: rungs,
-                    ..solo
-                });
-            }
+            // The search's train stage trains the winner, with the next
+            // top-scored candidates as one fused cohort and optional
+            // successive-halving rungs pruning it.
+            config = config.with_train(TrainConfig {
+                epochs,
+                batch_size: 32,
+                seed,
+                cohort: cohort.max(1),
+                halving_rungs: rungs,
+                ..Default::default()
+            });
 
             let want_stats = args.iter().any(|a| a == "--stats");
             let trace_out = flag_value(&args, "--trace-out").map(std::path::PathBuf::from);
@@ -268,35 +275,32 @@ fn main() -> ExitCode {
                 result.executions.repcap,
             );
 
-            let model = QuantumClassifier::new(best.circuit.clone(), bench.classes);
-            let params = if config.train.is_some() {
-                if let Some(t) = result.trained.iter().find(|t| t.index == result.best_index) {
-                    eprintln!(
-                        "cohort-trained {} candidates in fused batches ({} pruned early)",
-                        result.trained.len(),
-                        result
-                            .trained
-                            .iter()
-                            .filter(|t| t.pruned_at_epoch.is_some())
-                            .count()
-                    );
-                    t.params.clone()
-                } else {
-                    eprintln!(
-                        "warning: cohort training quarantined the winner; \
-                         training solo for {epochs} epochs ..."
-                    );
-                    train(&model, dataset.train(), &solo).params
-                }
-            } else {
-                eprintln!("training for {epochs} epochs ...");
-                train(&model, dataset.train(), &solo).params
+            let Some(trained) = result.trained.first().filter(|t| t.index == result.best_index)
+            else {
+                let reason = result
+                    .quarantined
+                    .iter()
+                    .find(|q| q.index == result.best_index && q.stage == SearchStage::Train)
+                    .map_or("no training result", |q| q.reason.as_str());
+                eprintln!("training the selected circuit failed: {reason}");
+                return ExitCode::FAILURE;
             };
-            let clean = accuracy(&model, &params, dataset.test());
+            if result.trained.len() > 1 {
+                eprintln!(
+                    "cohort-trained {} candidates in fused batches ({} pruned early)",
+                    result.trained.len(),
+                    result.trained.iter().filter(|t| t.pruned_at_epoch.is_some()).count()
+                );
+            } else {
+                eprintln!("trained the selected circuit for {epochs} epochs");
+            }
+            let model = QuantumClassifier::new(best.circuit.clone(), bench.classes);
+            let params = &trained.params;
+            let clean = accuracy(&model, params, dataset.test());
             let physical = best.physical_circuit(&device);
             let noise = circuit_noise(&device, &physical).expect("device-aware circuit");
             let mut rng = StdRng::seed_from_u64(seed);
-            let noisy = noisy_accuracy(&model, &params, dataset.test(), &noise, 60, &mut rng);
+            let noisy = noisy_accuracy(&model, params, dataset.test(), &noise, 60, &mut rng);
             eprintln!("test accuracy: {clean:.3} noiseless, {noisy:.3} under {} noise", device.name());
 
             println!(
@@ -308,7 +312,7 @@ fn main() -> ExitCode {
             );
             println!(
                 "{}",
-                to_qasm(&best.circuit, &params, &dataset.test().features[0])
+                to_qasm(&best.circuit, params, &dataset.test().features[0])
             );
 
             if want_stats {
@@ -392,6 +396,10 @@ fn main() -> ExitCode {
             }
             if job.candidates == 0 {
                 eprintln!("--candidates must be >= 1");
+                return ExitCode::FAILURE;
+            }
+            if job.train_epochs == Some(0) {
+                eprintln!("--epochs must be >= 1");
                 return ExitCode::FAILURE;
             }
             let spool = std::path::Path::new(&spool);

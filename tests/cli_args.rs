@@ -1,6 +1,6 @@
-//! Numeric flags of `elivagar-cli search` are validated up front: a
-//! malformed value is rejected with a message and exit code 1 before any
-//! search work starts, never silently replaced by the default.
+//! Numeric flags of `elivagar-cli` are validated up front: a malformed or
+//! out-of-range value is rejected with a message and exit code 1 before
+//! any work starts, never silently replaced by the default.
 
 use std::process::Command;
 
@@ -35,4 +35,26 @@ fn malformed_numeric_search_flags_exit_with_code_1() {
         );
         assert!(output.stdout.is_empty(), "{flag} {value:?} printed QASM");
     }
+}
+
+#[test]
+fn zero_training_epochs_exit_with_code_1_before_any_work() {
+    let output = search(&["--epochs", "0"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "search --epochs 0:\n{stderr}");
+    assert!(stderr.contains("--epochs must be >= 1"), "search --epochs 0:\n{stderr}");
+    assert!(!stderr.contains("searching"), "search --epochs 0 started work:\n{stderr}");
+    assert!(output.stdout.is_empty(), "search --epochs 0 printed QASM");
+
+    let spool = std::env::temp_dir().join(format!("elivagar-cli-args-{}", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
+        .args(["submit", "--spool"])
+        .arg(&spool)
+        .args(["--id", "zero", "--epochs", "0"])
+        .output()
+        .expect("CLI binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "submit --epochs 0:\n{stderr}");
+    assert!(stderr.contains("--epochs must be >= 1"), "submit --epochs 0:\n{stderr}");
+    assert!(!spool.exists(), "submit --epochs 0 created the spool");
 }

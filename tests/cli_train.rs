@@ -90,9 +90,10 @@ fn train_flags_compose_with_nsga2_strategy() {
 
 #[test]
 fn cohort_winner_params_match_solo_training_bit_for_bit() {
-    // With halving off, the cohort replays the solo training ladder for
-    // every member — the emitted QASM (trained angles bound in) must be
-    // byte-identical to a plain run.
+    // With halving off, every cohort member trains bit for bit as it
+    // would alone, and a plain run trains the winner alone (a one-member
+    // cohort) — the emitted QASM (trained angles bound in) must be
+    // byte-identical.
     let (solo_stdout, _) = run_cli(&[]);
     let (cohort_stdout, _) = run_cli(&["--train-batch", "3"]);
     assert_eq!(
