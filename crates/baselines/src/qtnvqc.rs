@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{noisy_distribution, AdjointProgram, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -271,9 +271,7 @@ pub fn qtn_vqc_noisy_accuracy<R: Rng + ?Sized>(
         .zip(&data.labels)
         .filter(|(x, &y)| {
             let angles = qtn.layer.forward(x);
-            // Auto-dispatch: Clifford-parameterized models ride the
-            // bit-parallel Pauli-frame engine, others the state-vector path.
-            let dist = noisy_distribution_auto(
+            let dist = noisy_distribution(
                 model.circuit(),
                 &qtn.params,
                 &angles,

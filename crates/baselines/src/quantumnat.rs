@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{noisy_distribution, AdjointProgram, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -166,10 +166,8 @@ pub fn quantumnat_noisy_accuracy<R: Rng + ?Sized>(
         .iter()
         .zip(&data.labels)
         .filter(|(x, &y)| {
-            // Auto-dispatch: Clifford-parameterized models ride the
-            // bit-parallel Pauli-frame engine, others the state-vector path.
             let dist =
-                noisy_distribution_auto(model.circuit(), &nat.params, x, noise, trajectories, rng);
+                noisy_distribution(model.circuit(), &nat.params, x, noise, trajectories, rng);
             let expectations = model.expectations_from_distribution(&dist);
             let logits = model.logits_from_expectations(&expectations);
             elivagar_ml::argmax(&nat.normalize(&logits)) == y

@@ -4,10 +4,12 @@
 //! f64s at any `ELIVAGAR_THREADS` setting — Elivagar ranks candidates by
 //! comparing these numbers, so even 1-ulp thread-count drift would change
 //! search results. The constants below are `f64::to_bits` goldens captured
-//! once; `scripts/verify.sh` reruns this suite with `ELIVAGAR_THREADS=1`
-//! and `=2` (the env is read once at pool startup, so each thread count is
-//! a separate process) and any scheduling-dependent reduction would break
-//! at least one of the hardcoded bit patterns.
+//! once; `scripts/verify.sh` reruns this suite with `ELIVAGAR_THREADS=1`,
+//! `=2` and `=4` (the env is read once at pool startup, so each thread
+//! count is a separate process) and any scheduling-dependent reduction
+//! would break at least one of the hardcoded bit patterns. It also runs
+//! the suite once with telemetry compiled out (`--no-default-features`),
+//! which no result, the candidate funnel included, may depend on.
 //!
 //! The gradient and RepCap goldens predate the work-stealing runtime and
 //! pin those paths to the original sequential implementation exactly. The
@@ -15,7 +17,9 @@
 //! RNG-stream split (their draw order changed, intentionally) and pin the
 //! new streams. The training goldens were captured while `try_train` was
 //! still a loop of its own, before it became a one-member cohort, and pin
-//! the cohort loop to that loop's results.
+//! the cohort loop to that loop's results. The parameter-shift gradient
+//! golden was captured while `batch_gradient` still had a dispatch of its
+//! own, before it became a one-member cohort dispatch.
 
 use elivagar::config::{Nsga2Config, SearchConfig};
 use elivagar::generate::generate_candidate;
@@ -99,6 +103,37 @@ fn adjoint_batch_gradient_bits_are_thread_count_invariant() {
     for (i, (&gi, &bits)) in g.gradient.iter().zip(&GRAD_BITS).enumerate() {
         assert_bits(gi, bits, &format!("gradient[{i}]"));
     }
+}
+
+/// Golden for the parameter-shift batch gradient, recorded while
+/// `batch_gradient` still ran its own per-sample loop, before it became a
+/// one-member cohort dispatch. Must hold at every thread count.
+#[test]
+fn parameter_shift_batch_gradient_bits_are_thread_count_invariant() {
+    const LOSS_BITS: u64 = 0x3fe7e890d7f4e957;
+    const GRAD_BITS: [u64; 6] = [
+        0x3fb0e3ec9e69864d,
+        0x3f901a42ab0a3081,
+        0x3f825e33d9f7f9fe,
+        0xbfb0d32fc1866260,
+        0xbc54200000000000,
+        0xbfa8cd4a4a97e78d,
+    ];
+    // Per sample: 1 forward + 2 shifts for each of the five plain
+    // rotations + 4 for the CRZ = 15; 8 samples.
+    const EXECUTIONS: u64 = 120;
+    let model = QuantumClassifier::new(golden_circuit(), 2);
+    let (features, labels) = golden_batch();
+    let g = batch_gradient(
+        &model,
+        &golden_params(),
+        &features,
+        &labels,
+        GradientMethod::ParameterShift,
+    );
+    assert_bits(g.loss, LOSS_BITS, "loss");
+    assert_all_bits(&g.gradient, &GRAD_BITS, "gradient");
+    assert_eq!(g.executions, EXECUTIONS, "executions");
 }
 
 /// The golden training task: the golden circuit as a binary classifier,

@@ -354,8 +354,9 @@ pub struct SearchResult {
     /// [`SearchStage::Train`] instead.
     pub trained: Vec<TrainedCandidate>,
     /// Telemetry summary: the candidate funnel (run-local, deterministic,
-    /// thread-count invariant) plus per-stage timing. All zeros when the
-    /// `telemetry` feature is compiled out.
+    /// thread-count invariant, and counted whether or not the `telemetry`
+    /// feature is compiled in) plus per-stage timing and counters, which
+    /// are all zeros when it is compiled out.
     pub stats: elivagar_obs::RunStats,
 }
 
@@ -453,7 +454,7 @@ pub fn run_search(
 /// assembles the result. It owns everything the strategy should not have
 /// to care about — parallel fan-out with panic quarantine, per-candidate
 /// evaluation budgets, crash-safe journaling (each strategy round is a
-/// checkpoint boundary), and the telemetry funnel.
+/// checkpoint boundary), and the candidate funnel.
 ///
 /// The strategy's name is folded into the journal fingerprint, so a
 /// checkpoint written under one strategy refuses to resume another.
@@ -834,28 +835,26 @@ impl Engine<'_> {
     fn admit(&mut self, proposed: Vec<Candidate>) -> usize {
         elivagar_obs::metrics::CANDIDATES_GENERATED.add(proposed.len() as u64);
         self.funnel.generated += proposed.len() as u64;
-        if elivagar_obs::compiled_in() {
-            // A candidate is "routed" when every two-qubit gate lands on a
-            // coupled pair under its placement (device-aware candidates
-            // are routed by construction; device-unaware ones may violate
-            // the topology until a routing pass runs). The placement maps
-            // local to physical qubits directly — no need to materialize
-            // the remapped circuit.
-            let topology = self.device.topology();
-            let routed = proposed
-                .iter()
-                .filter(|c| {
-                    c.circuit.instructions().iter().filter(|ins| ins.qubits.len() == 2).all(|ins| {
-                        topology.are_coupled(c.placement[ins.qubits[0]], c.placement[ins.qubits[1]])
-                    })
+        // A candidate is "routed" when every two-qubit gate lands on a
+        // coupled pair under its placement (device-aware candidates are
+        // routed by construction; device-unaware ones may violate the
+        // topology until a routing pass runs). The placement maps local to
+        // physical qubits directly — no need to materialize the remapped
+        // circuit.
+        let topology = self.device.topology();
+        let routed = proposed
+            .iter()
+            .filter(|c| {
+                c.circuit.instructions().iter().filter(|ins| ins.qubits.len() == 2).all(|ins| {
+                    topology.are_coupled(c.placement[ins.qubits[0]], c.placement[ins.qubits[1]])
                 })
-                .count() as u64;
-            let unrouted = proposed.len() as u64 - routed;
-            self.funnel.routed += routed;
-            self.funnel.unrouted += unrouted;
-            elivagar_obs::metrics::CANDIDATES_ROUTED.add(routed);
-            elivagar_obs::metrics::CANDIDATES_UNROUTED.add(unrouted);
-        }
+            })
+            .count() as u64;
+        let unrouted = proposed.len() as u64 - routed;
+        self.funnel.routed += routed;
+        self.funnel.unrouted += unrouted;
+        elivagar_obs::metrics::CANDIDATES_ROUTED.add(routed);
+        elivagar_obs::metrics::CANDIDATES_UNROUTED.add(unrouted);
         let base = self.all.len();
         self.all.extend(proposed);
         base

@@ -1,25 +1,26 @@
 //! Cross-candidate cohort training, the one training loop: the top-k
 //! cohort of a search — or a single model, through
-//! [`crate::train::try_train`] — trains through fused multi-program
-//! dispatches, with optional successive-halving early termination and
-//! bounded divergence retries.
+//! [`crate::train::try_train`] — trains through fused cross-candidate
+//! gradient dispatches, with optional successive-halving early
+//! termination and bounded divergence retries.
 //!
 //! Instead of training k candidates one after another (k pool dispatches
 //! per minibatch step, each too small to saturate the workers), the cohort
-//! path compiles every candidate once into a [`MultiProgram`] and pushes
-//! every still-alive member's minibatch through the work-stealing pool as
-//! one fused batch of `(member, sample)` items.
+//! path compiles every candidate once into an [`AdjointProgram`] and
+//! pushes every still-alive member's minibatch through the work-stealing
+//! pool as one fused batch of `(member, sample)` items
+//! ([`crate::gradient::cohort_batch_gradients`]).
 //!
 //! # Determinism
 //!
 //! Every member starts from its own `StdRng` seeded with `config.seed`:
 //! its own parameter draw, Adam state, shuffle order, and fault-point
-//! batch counter. Per-item gradients are computed by the same float
-//! sequence as [`crate::gradient::batch_gradient`] (see
-//! [`crate::gradient::cohort_batch_gradients`]) and reduced sequentially
-//! in item order, so with `halving_rungs == 0` every member's outcome is
-//! bit-for-bit identical to training that member alone — in any cohort, at
-//! any thread count. Early termination changes *which* epochs run, never
+//! batch counter. Per-item gradients are index-addressed and reduced
+//! sequentially in item order, the same additions
+//! [`crate::gradient::batch_gradient`] makes over the member's minibatch.
+//! So with `halving_rungs == 0` every member's outcome is bit-for-bit
+//! identical to training that member alone, in any cohort and at any
+//! thread count. Early termination changes *which* epochs run, never
 //! the values they compute: a member pruned at epoch `e` has exactly the
 //! first `e` entries of its full loss history.
 //!
@@ -45,12 +46,12 @@
 //! members, 16 epochs, and 4 rungs this trains 48 member-epochs instead
 //! of 256.
 
-use crate::gradient::cohort_batch_gradients;
+use crate::gradient::{cohort_batch_gradients, MultiItem};
 use crate::model::QuantumClassifier;
 use crate::optim::Adam;
 use crate::train::{init_params, TrainConfig, TrainError, TrainOutcome};
 use elivagar_datasets::Split;
-use elivagar_sim::{AdjointProgram, CancelToken, MultiItem, MultiProgram, TaskSeeds};
+use elivagar_sim::{AdjointProgram, CancelToken, TaskSeeds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -217,11 +218,9 @@ pub fn train_cohort_with_cancel(
     }
     let cohort = Cohort {
         models,
-        multi: MultiProgram::compile(models.iter().map(|m| m.circuit())),
-        // Streamed-adjoint programs, compiled once per cohort alongside
-        // the forward multi-program (only the Adjoint gradient path reads
-        // them); params-only because training never reads feature
-        // gradients.
+        // One program per member, compiled once per run: both gradient
+        // methods read it. Params-only because training never reads
+        // feature gradients.
         adjoints: models
             .iter()
             .map(|m| AdjointProgram::compile_params_only(m.circuit()))
@@ -243,7 +242,6 @@ pub fn train_cohort_with_cancel(
 /// (compiled once per run), the data, the config, and the cancel token.
 struct Cohort<'a> {
     models: &'a [QuantumClassifier],
-    multi: MultiProgram,
     adjoints: Vec<AdjointProgram>,
     data: &'a Split,
     config: &'a TrainConfig,
@@ -365,7 +363,6 @@ impl Cohort<'_> {
                 let batch_sw = elivagar_obs::metrics::Stopwatch::start();
                 let stride = cohort_batch_gradients(
                     self.models,
-                    &self.multi,
                     &self.adjoints,
                     params_by,
                     &data.features,

@@ -6,14 +6,18 @@
 //! sweeps), while on hardware every parameter costs extra circuit
 //! executions through the parameter-shift rule — which is exactly why
 //! training-based QCS methods scale so poorly.
+//!
+//! Both methods share one dispatch, [`cohort_batch_gradients`]: every
+//! `(member, sample)` pair of a cohort minibatch runs as one item of the
+//! engine's work-stealing pool, against the member's pre-compiled
+//! [`AdjointProgram`]. [`batch_gradient`] is that dispatch for a cohort of
+//! one.
 
 use crate::loss::cross_entropy_into;
 use crate::model::QuantumClassifier;
 use elivagar_circuit::{Gate, ParamSource};
-use elivagar_sim::parallel::par_map;
 use elivagar_sim::{
-    par_items_with_arena, AdjointProgram, Gradients, MultiItem, MultiProgram, Program,
-    StateVector, ZObservable,
+    par_items_with_arena, AdjointProgram, Gradients, Program, StateVector, ZObservable,
 };
 use std::cell::RefCell;
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
@@ -112,10 +116,7 @@ fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(us
 /// entries); returns `(loss, executions)`.
 ///
 /// All intermediates live in the per-thread [`GRAD_SCRATCH`], so a
-/// warmed-up call performs no heap allocation. The single-model
-/// ([`batch_gradient`]) and cohort ([`cohort_batch_gradients`]) paths both
-/// funnel through this function, so their per-sample float sequences are
-/// bit-for-bit identical.
+/// warmed-up call performs no heap allocation.
 fn adjoint_sample_gradient(
     model: &QuantumClassifier,
     adjoint: &AdjointProgram,
@@ -147,7 +148,8 @@ fn adjoint_sample_gradient(
     })
 }
 
-/// Mean loss and gradient over a batch of samples.
+/// Mean loss and gradient over a batch of samples: a one-member
+/// [`cohort_batch_gradients`] dispatch, reduced in sample order.
 ///
 /// # Panics
 ///
@@ -160,21 +162,80 @@ pub fn batch_gradient(
     method: GradientMethod,
 ) -> BatchGradient {
     assert!(!features.is_empty(), "empty batch");
+    // Classifier training only reads trainable gradients, so the backward
+    // sweep skips every data-embedding slot.
+    let adjoint = AdjointProgram::compile_params_only(model.circuit());
+    let items: Vec<MultiItem> = (0..features.len() as u32)
+        .map(|sample| MultiItem { member: 0, sample })
+        .collect();
+    let (mut arena, mut out) = (Vec::new(), Vec::new());
+    let stride = cohort_batch_gradients(
+        std::slice::from_ref(model),
+        std::slice::from_ref(&adjoint),
+        &[params.to_vec()],
+        features,
+        labels,
+        &items,
+        method,
+        &mut arena,
+        &mut out,
+    );
+    let grads = arena
+        .chunks_exact(stride)
+        .map(|slice| &slice[..params.len()]);
+    reduce_in_order(params.len(), out.iter().copied().zip(grads))
+}
+
+/// Sums per-sample `((loss, executions), gradient)` results in the order
+/// given and divides loss and gradient by the sample count.
+fn reduce_in_order<'a>(
+    num_params: usize,
+    per_sample: impl ExactSizeIterator<Item = ((f64, u64), &'a [f64])>,
+) -> BatchGradient {
+    let n = per_sample.len() as f64;
+    let mut loss = 0.0;
+    let mut gradient = vec![0.0; num_params];
+    let mut executions = 0u64;
+    for ((l, e), g) in per_sample {
+        loss += l;
+        executions += e;
+        for (acc, gi) in gradient.iter_mut().zip(g) {
+            *acc += gi;
+        }
+    }
+    loss /= n;
+    for g in &mut gradient {
+        *g /= n;
+    }
+    BatchGradient { loss, gradient, executions }
+}
+
+/// Test oracle for [`batch_gradient`]: the same per-sample kernels behind
+/// an independent dispatch, a pool `par_map` over the samples with one
+/// fresh gradient vector each, reduced in sample order. The cohort suite
+/// pins the production dispatch to it bit for bit.
+///
+/// # Panics
+///
+/// Panics if the batch is empty or features/labels lengths differ.
+#[cfg(test)]
+pub(crate) fn reference_batch_gradient(
+    model: &QuantumClassifier,
+    params: &[f64],
+    features: &[Vec<f64>],
+    labels: &[usize],
+    method: GradientMethod,
+) -> BatchGradient {
+    use elivagar_sim::parallel::par_map;
+    assert!(!features.is_empty(), "empty batch");
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
-    // Compile once per minibatch; every sweep in the batch reuses the fused
-    // kernel stream. Samples are independent, so they run in parallel;
-    // per-sample results come back in batch order and are reduced
-    // sequentially, keeping the mean bit-for-bit identical to the
-    // sequential loop.
     let indices: Vec<usize> = (0..features.len()).collect();
     let per_sample = match method {
         GradientMethod::Adjoint => {
-            // Classifier training only reads trainable gradients, so the
-            // backward sweep skips every data-embedding slot.
             let adjoint = AdjointProgram::compile_params_only(model.circuit());
             par_map(&indices, |&i| {
                 let mut grad = vec![0.0; params.len()];
-                let (loss, executions) = adjoint_sample_gradient(
+                let result = adjoint_sample_gradient(
                     model,
                     &adjoint,
                     params,
@@ -182,14 +243,14 @@ pub fn batch_gradient(
                     labels[i],
                     &mut grad,
                 );
-                (loss, grad, executions)
+                (result, grad)
             })
         }
         GradientMethod::ParameterShift => {
             let program = Program::compile(model.circuit());
             par_map(&indices, |&i| {
                 let mut grad = vec![0.0; params.len()];
-                let (loss, executions) = program.run_with(params, &features[i], |psi| {
+                let result = program.run_with(params, &features[i], |psi| {
                     shift_sample_gradient(
                         model,
                         &program,
@@ -200,26 +261,14 @@ pub fn batch_gradient(
                         &mut grad,
                     )
                 });
-                (loss, grad, executions)
+                (result, grad)
             })
         }
     };
-    let mut loss = 0.0;
-    let mut gradient = vec![0.0; params.len()];
-    let mut executions = 0u64;
-    for (l, g, e) in per_sample {
-        loss += l;
-        executions += e;
-        for (acc, gi) in gradient.iter_mut().zip(&g) {
-            *acc += gi;
-        }
-    }
-    let n = features.len() as f64;
-    loss /= n;
-    for g in &mut gradient {
-        *g /= n;
-    }
-    BatchGradient { loss, gradient, executions }
+    reduce_in_order(
+        params.len(),
+        per_sample.iter().map(|(r, g)| (*r, g.as_slice())),
+    )
 }
 
 /// Per-worker scratch for the per-sample gradient kernels: every
@@ -253,10 +302,10 @@ thread_local! {
 
 /// Loss and gradient for one sample by the parameter-shift rule (the
 /// hardware-accounting path), given the sample's forward state `psi`
-/// (from `program.run_with` or a multi-program dispatch). Every shifted
-/// evaluation runs the pre-compiled fused `program`. The gradient lands in
-/// `grad_out` (first `params.len()` entries); returns
-/// `(loss, executions)`. Intermediates live in [`GRAD_SCRATCH`].
+/// (from `program.run_with`). Every shifted evaluation runs the
+/// pre-compiled fused `program`. The gradient lands in `grad_out` (first
+/// `params.len()` entries); returns `(loss, executions)`. Intermediates
+/// live in [`GRAD_SCRATCH`].
 fn shift_sample_gradient(
     model: &QuantumClassifier,
     program: &Program,
@@ -315,33 +364,40 @@ fn shift_sample_gradient(
     })
 }
 
-/// Fused gradient dispatch over a cohort of candidates: one pass through the
-/// work-stealing pool computes every `(member, sample)` pair in `items`,
-/// writing each pair's gradient into its `stride`-wide arena slice and its
-/// `(loss, executions)` into `out[i]`. Returns the arena stride (the widest
-/// member's parameter count).
-///
-/// Per pair, the float sequence is identical to [`batch_gradient`]'s
-/// per-sample path, so reducing member `m`'s slices in item order
-/// reproduces its solo minibatch gradient bit-for-bit. Once `arena` and
-/// `out` have grown to capacity the steady state performs no heap
-/// allocation (with [`GradientMethod::Adjoint`]).
+/// One work item of a cohort gradient dispatch: cohort member `member`'s
+/// gradient on sample `sample` of the shared feature pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MultiItem {
+    /// Index of the member in the cohort.
+    pub member: u32,
+    /// Index of the feature vector in the shared batch.
+    pub sample: u32,
+}
+
+/// Fused gradient dispatch over a cohort of candidates, the one production
+/// gradient dispatch: one pass through the work-stealing pool computes
+/// every `(member, sample)` pair in `items`, writing each pair's gradient
+/// into its `stride`-wide arena slice and its `(loss, executions)` into
+/// `out[i]`. Returns the arena stride (the widest member's parameter
+/// count).
 ///
 /// With [`GradientMethod::Adjoint`] each pair streams through its member's
 /// pre-compiled [`AdjointProgram`] (forward, loss hook, backward in one
-/// pass); with [`GradientMethod::ParameterShift`] the multi-program
-/// dispatch produces the forward states and shifted evaluations follow.
-/// Both run through the engine's work-stealing pool.
+/// pass); with [`GradientMethod::ParameterShift`] the member's forward
+/// program ([`AdjointProgram::program`]) produces the forward state and
+/// runs the shifted evaluations. Reducing member `m`'s slices in item
+/// order gives its minibatch gradient, bit for bit at any thread count.
+/// Once `arena` and `out` have grown to capacity the steady state performs
+/// no heap allocation.
 ///
 /// # Panics
 ///
-/// Panics if `models`, `multi`, `adjoints`, and `params` disagree on the
-/// cohort size, if features/labels lengths differ, or if an item indexes
-/// out of range.
+/// Panics if `models`, `adjoints`, and `params` disagree on the cohort
+/// size, if features/labels lengths differ, or if an item indexes out of
+/// range.
 #[allow(clippy::too_many_arguments)]
 pub fn cohort_batch_gradients(
     models: &[QuantumClassifier],
-    multi: &MultiProgram,
     adjoints: &[AdjointProgram],
     params: &[Vec<f64>],
     features: &[Vec<f64>],
@@ -351,55 +407,32 @@ pub fn cohort_batch_gradients(
     arena: &mut Vec<f64>,
     out: &mut Vec<(f64, u64)>,
 ) -> usize {
-    assert_eq!(models.len(), multi.len(), "model/program mismatch");
     assert_eq!(models.len(), adjoints.len(), "model/adjoint mismatch");
     assert_eq!(models.len(), params.len(), "model/params mismatch");
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
+    for item in items {
+        assert!((item.member as usize) < models.len(), "member out of range");
+        assert!((item.sample as usize) < features.len(), "sample out of range");
+    }
     let stride = params.iter().map(Vec::len).max().unwrap_or(0).max(1);
     arena.clear();
     arena.resize(items.len() * stride, 0.0);
-    match method {
-        GradientMethod::Adjoint => {
-            for item in items {
-                assert!((item.member as usize) < models.len(), "member out of range");
-                assert!((item.sample as usize) < features.len(), "sample out of range");
+    par_items_with_arena(items.len(), arena, stride, out, |i, slice| {
+        let (m, sample) = (items[i].member as usize, items[i].sample as usize);
+        let (model, adjoint, params) = (&models[m], &adjoints[m], &params[m]);
+        let (x, label) = (&features[sample], labels[sample]);
+        match method {
+            GradientMethod::Adjoint => {
+                adjoint_sample_gradient(model, adjoint, params, x, label, slice)
             }
-            par_items_with_arena(items.len(), arena, stride, out, |i, slice| {
-                let item = &items[i];
-                let m = item.member as usize;
-                adjoint_sample_gradient(
-                    &models[m],
-                    &adjoints[m],
-                    &params[m],
-                    &features[item.sample as usize],
-                    labels[item.sample as usize],
-                    slice,
-                )
-            });
+            GradientMethod::ParameterShift => {
+                let program = adjoint.program();
+                program.run_with(params, x, |psi| {
+                    shift_sample_gradient(model, program, params, x, label, psi, slice)
+                })
+            }
         }
-        GradientMethod::ParameterShift => {
-            multi.batch_execute_multi(
-                params,
-                features,
-                items,
-                arena,
-                stride,
-                out,
-                |_, item, psi, slice| {
-                    let m = item.member as usize;
-                    shift_sample_gradient(
-                        &models[m],
-                        multi.program(m),
-                        &params[m],
-                        &features[item.sample as usize],
-                        labels[item.sample as usize],
-                        psi,
-                        slice,
-                    )
-                },
-            );
-        }
-    }
+    });
     stride
 }
 
@@ -430,6 +463,24 @@ mod tests {
         assert!((adj.loss - ps.loss).abs() < 1e-10);
         for (a, b) in adj.gradient.iter().zip(&ps.gradient) {
             assert!((a - b).abs() < 1e-6, "adjoint {a} vs shift {b}");
+        }
+    }
+
+    #[test]
+    fn batch_gradient_matches_reference_dispatch_bit_for_bit() {
+        let m = model();
+        let params = [0.4, -0.9, 1.3, 0.2];
+        let features: Vec<Vec<f64>> = (0..7).map(|i| vec![0.3 * i as f64 - 1.0]).collect();
+        let labels: Vec<usize> = (0..7).map(|i| i % 2).collect();
+        for method in [GradientMethod::Adjoint, GradientMethod::ParameterShift] {
+            let got = batch_gradient(&m, &params, &features, &labels, method);
+            let want = reference_batch_gradient(&m, &params, &features, &labels, method);
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{method:?} loss");
+            assert_eq!(got.executions, want.executions, "{method:?} executions");
+            assert_eq!(got.gradient.len(), want.gradient.len());
+            for (a, b) in got.gradient.iter().zip(&want.gradient) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{method:?} gradient");
+            }
         }
     }
 

@@ -41,7 +41,7 @@ pub use accounting::{elivagar_default_cost, ElivagarCost, SuperCircuitCost};
 pub use cohort::{train_cohort, train_cohort_with_cancel, CohortOutcome};
 pub use diagnostics::{gradient_variance, GradientVariance};
 pub use gradient::{
-    batch_gradient, cohort_batch_gradients, shift_rule, BatchGradient, GradientMethod,
+    batch_gradient, cohort_batch_gradients, shift_rule, BatchGradient, GradientMethod, MultiItem,
 };
 pub use loss::{cross_entropy, softmax};
 pub use model::{argmax, ModelError, QuantumClassifier};

@@ -174,8 +174,9 @@ pub fn try_train(
 }
 
 /// Test oracle: attempt 0 of training as a plain sequential loop over
-/// [`crate::gradient::batch_gradient`], without fault sites or retries.
-/// The cohort suite pins the production loop to it bit for bit.
+/// [`crate::gradient::reference_batch_gradient`], without fault sites or
+/// retries. The cohort suite pins the production loop and its gradient
+/// dispatch to it bit for bit.
 ///
 /// # Panics
 ///
@@ -203,7 +204,7 @@ pub(crate) fn reference_train(
             let features: Vec<Vec<f64>> =
                 chunk.iter().map(|&i| data.features[i].clone()).collect();
             let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
-            let bg = crate::gradient::batch_gradient(
+            let bg = crate::gradient::reference_batch_gradient(
                 model,
                 &params,
                 &features,

@@ -16,8 +16,10 @@
 //! pool.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_ml::{cohort_batch_gradients, init_params, Adam, GradientMethod, QuantumClassifier};
-use elivagar_sim::{AdjointProgram, MultiItem, MultiProgram};
+use elivagar_ml::{
+    cohort_batch_gradients, init_params, Adam, GradientMethod, MultiItem, QuantumClassifier,
+};
+use elivagar_sim::AdjointProgram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,7 +87,6 @@ fn steady_state_cohort_minibatch_does_not_allocate() {
     std::env::set_var(elivagar_sim::runtime::THREADS_ENV, "1");
 
     let models = [layered_model(2, 1), layered_model(3, 2), layered_model(2, 2)];
-    let multi = MultiProgram::compile(models.iter().map(|m| m.circuit()));
     let adjoints: Vec<AdjointProgram> =
         models.iter().map(|m| AdjointProgram::compile(m.circuit())).collect();
     let features: Vec<Vec<f64>> =
@@ -118,8 +119,7 @@ fn steady_state_cohort_minibatch_does_not_allocate() {
                         out: &mut Vec<(f64, u64)>,
                         grad: &mut Vec<f64>| {
             let stride = cohort_batch_gradients(
-                &models, &multi, &adjoints, params, &features, &labels, &items, method, arena,
-                out,
+                &models, &adjoints, params, &features, &labels, &items, method, arena, out,
             );
             let mut acc = 0.0;
             for (m, p) in params.iter_mut().enumerate() {

@@ -18,7 +18,9 @@
 
 use elivagar_serve::{AdmitError, Daemon, JobSpec, JobState, ServeConfig};
 use serde::Serialize;
+use std::num::{IntErrorKind, ParseIntError};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -33,6 +35,26 @@ fn flag_values(args: &[String], name: &str) -> Vec<String> {
         .filter(|(_, a)| a.as_str() == name)
         .filter_map(|(i, _)| args.get(i + 1).cloned())
         .collect()
+}
+
+/// Parses an unsigned-integer flag into `T`: `Ok(None)` when absent, and a
+/// message plus exit code 1 when present but malformed or too large for
+/// `T`, never a silently dropped or wrapped value.
+fn parse_flag<T: FromStr<Err = ParseIntError>>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, ExitCode> {
+    let Some(v) = flag_value(args, name) else {
+        return Ok(None);
+    };
+    v.parse().map(Some).map_err(|e: ParseIntError| {
+        if *e.kind() == IntErrorKind::PosOverflow {
+            eprintln!("{name} is out of range, got {v:?}");
+        } else {
+            eprintln!("{name} expects an unsigned integer, got {v:?}");
+        }
+        ExitCode::FAILURE
+    })
 }
 
 fn usage() -> ExitCode {
@@ -79,37 +101,28 @@ fn main() -> ExitCode {
         return usage();
     };
     let quiet = args.iter().any(|a| a == "--quiet");
-    let parse = |name: &str, default: u64| -> Option<u64> {
-        match flag_value(&args, name) {
-            None => Some(default),
-            Some(v) => v.parse().ok().or_else(|| {
-                eprintln!("{name} expects an unsigned integer, got {v:?}");
-                None
-            }),
-        }
-    };
 
+    // Every numeric flag is validated before the state directory exists.
     let mut config = ServeConfig::new(&state_dir);
-    let (Some(queue_depth), Some(slice_records), Some(max_retries), Some(backoff_base)) = (
-        parse("--queue-depth", config.queue_depth as u64),
-        parse("--slice-records", config.slice_records as u64),
-        parse("--max-retries", config.max_retries as u64),
-        parse("--backoff-base", config.backoff_base),
-    ) else {
+    let mut max_ticks = 100_000;
+    let numbers = (|| {
+        let c = &mut config;
+        c.queue_depth = parse_flag(&args, "--queue-depth")?.unwrap_or(c.queue_depth);
+        c.slice_records = parse_flag(&args, "--slice-records")?
+            .unwrap_or(c.slice_records)
+            .max(1);
+        c.max_retries = parse_flag(&args, "--max-retries")?.unwrap_or(c.max_retries);
+        c.backoff_base = parse_flag(&args, "--backoff-base")?.unwrap_or(c.backoff_base);
+        c.checkpoint_every = parse_flag(&args, "--checkpoint-every")?
+            .unwrap_or(c.checkpoint_every)
+            .max(1);
+        c.tenant_record_budget = parse_flag(&args, "--tenant-budget")?;
+        max_ticks = parse_flag(&args, "--max-ticks")?.unwrap_or(max_ticks);
+        Ok::<_, ExitCode>(())
+    })();
+    if numbers.is_err() {
         return usage();
-    };
-    let (Some(checkpoint_every), Some(max_ticks)) = (
-        parse("--checkpoint-every", config.checkpoint_every as u64),
-        parse("--max-ticks", 100_000),
-    ) else {
-        return usage();
-    };
-    config.queue_depth = queue_depth as usize;
-    config.slice_records = (slice_records as usize).max(1);
-    config.max_retries = max_retries as u32;
-    config.backoff_base = backoff_base;
-    config.checkpoint_every = (checkpoint_every as usize).max(1);
-    config.tenant_record_budget = flag_value(&args, "--tenant-budget").and_then(|v| v.parse().ok());
+    }
     for entry in flag_values(&args, "--tenant-weight") {
         let Some((name, weight)) = entry.split_once('=') else {
             eprintln!("--tenant-weight expects NAME=WEIGHT, got {entry:?}");

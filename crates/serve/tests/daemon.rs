@@ -341,6 +341,24 @@ fn served(state: &std::path::Path, spool: &std::path::Path) -> std::process::Com
 }
 
 #[test]
+fn malformed_numeric_flag_exits_1_before_creating_state() {
+    let spool = scratch("bad-flag-spool");
+    let state = scratch("bad-flag-state");
+    let output = served(&state, &spool)
+        .args(["--tenant-budget", "abc"])
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("spawn daemon");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "--tenant-budget abc:\n{stderr}");
+    assert!(
+        stderr.contains("--tenant-budget expects an unsigned integer, got \"abc\""),
+        "the message must name the bad value:\n{stderr}"
+    );
+    assert!(!state.exists(), "--tenant-budget abc created the state directory");
+}
+
+#[test]
 fn sigkill_mid_run_then_restart_completes_bit_identically() {
     let spool = scratch("sigkill-spool");
     write_spool(&spool);

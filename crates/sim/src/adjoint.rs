@@ -8,7 +8,7 @@
 //! sweeps instead of the O(P) circuit executions of the parameter-shift
 //! rule.
 
-use crate::engine;
+use crate::engine::{self, Program};
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
@@ -236,26 +236,22 @@ enum AdjOp {
 /// The instruction stream is run through the engine's gate fuser once at
 /// compile time, so every static stretch of the circuit becomes a single
 /// fused block with its dagger precomputed. The forward and backward
-/// sweeps then execute through the same fused kernels as
-/// [`Program::run`](crate::Program::run), and gradient terms are formed by
-/// the one-pass bilinear kernels (`2 Re <lambda| dU |psi>`) instead of
-/// materializing `dU |psi>` — three full state sweeps per parameter slot
-/// collapse into one.
+/// sweeps then execute through the same fused kernels as [`Program::run`],
+/// and gradient terms are formed by the one-pass bilinear kernels
+/// (`2 Re <lambda| dU |psi>`) instead of materializing `dU |psi>` — three
+/// full state sweeps per parameter slot collapse into one.
 ///
 /// Compile once per circuit, then call [`AdjointProgram::run_adjoint_with`]
 /// (or the [`AdjointProgram::gradient_into`] convenience) per sample; a
 /// warmed-up call performs no heap allocation.
 #[derive(Clone, Debug)]
 pub struct AdjointProgram {
-    num_qubits: usize,
-    amplitude_embedding: bool,
-    /// The fused op stream as [`Program`](crate::Program) executes it —
-    /// the forward sweep runs through [`engine::apply_ops`] (including
-    /// the angles-known re-fusion pass), so the pre-backward state is
-    /// bit-identical to `Program::run`'s.
-    forward: Vec<engine::Op>,
-    /// The same stream with per-block daggers precomputed, walked in
-    /// reverse by the backward sweep.
+    /// The compiled forward program. The forward sweep is its execution
+    /// (including the angles-known re-fusion pass), so the pre-backward
+    /// state is bit-identical to `Program::run`'s.
+    program: Program,
+    /// The program's op stream with per-block daggers precomputed, walked
+    /// in reverse by the backward sweep.
     ops: Vec<AdjOp>,
     /// Lowest op index whose backward visit can contribute a gradient
     /// term (the first dynamic op with a slot this program differentiates
@@ -288,9 +284,9 @@ impl AdjointProgram {
     }
 
     fn compile_inner(circuit: &Circuit, feature_grads: bool) -> Self {
-        let items = engine::classify_items(circuit);
-        let forward = engine::fuse(circuit.num_qubits(), items);
-        let ops: Vec<AdjOp> = forward
+        let program = Program::compile(circuit);
+        let ops: Vec<AdjOp> = program
+            .ops()
             .iter()
             .map(|op| match op.clone() {
                 engine::Op::One { q, m } => AdjOp::One { q, md: m.dagger() },
@@ -315,19 +311,18 @@ impl AdjointProgram {
                 AdjOp::One { .. } | AdjOp::Two { .. } => false,
             })
             .unwrap_or(ops.len());
-        AdjointProgram {
-            num_qubits: circuit.num_qubits(),
-            amplitude_embedding: circuit.amplitude_embedding(),
-            forward,
-            ops,
-            stop,
-            feature_grads,
-        }
+        AdjointProgram { program, ops, stop, feature_grads }
     }
 
     /// Number of qubits in the compiled circuit.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.program.num_qubits()
+    }
+
+    /// The compiled forward program, for callers that need plain forward
+    /// executions of the same circuit (the parameter-shift gradient).
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// One streamed adjoint pass with a caller hook between the forward
@@ -357,7 +352,7 @@ impl AdjointProgram {
         prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
         out: &mut Gradients,
     ) -> T {
-        let psi = self.forward_sweep(params, features);
+        let psi = self.program.run_in_workspace(params, features);
         let result = prepare(&psi, observable);
         self.backward_sweep(psi, params, features, observable, out);
         result
@@ -378,7 +373,7 @@ impl AdjointProgram {
         observable: &ZObservable,
         out: &mut Gradients,
     ) {
-        let psi = self.forward_sweep(params, features);
+        let psi = self.program.run_in_workspace(params, features);
         self.backward_sweep(psi, params, features, observable, out);
     }
 
@@ -393,20 +388,6 @@ impl AdjointProgram {
         out
     }
 
-    /// The forward sweep: the exact `Program::run` execution — fused
-    /// blocks, angles-known re-fusion of dynamic stretches, cache-blocked
-    /// sweeps — into a workspace state, so the state the backward sweep
-    /// (and `prepare`) sees is bit-identical to a plain forward execute.
-    fn forward_sweep(&self, params: &[f64], features: &[f64]) -> StateVector {
-        let mut psi = if self.amplitude_embedding {
-            workspace::acquire_embedded(self.num_qubits, features)
-        } else {
-            workspace::acquire_zero(self.num_qubits)
-        };
-        engine::apply_ops(&mut psi, &self.forward, self.num_qubits, params, features);
-        psi
-    }
-
     /// The backward sweep from the forward state `psi`, which it consumes
     /// and returns to the workspace.
     fn backward_sweep(
@@ -417,7 +398,7 @@ impl AdjointProgram {
         observable: &ZObservable,
         out: &mut Gradients,
     ) {
-        let parallel = self.num_qubits >= engine::AMPLITUDE_PAR_MIN_QUBITS;
+        let parallel = self.num_qubits() >= engine::AMPLITUDE_PAR_MIN_QUBITS;
         out.expectation = observable.expectation(&psi);
         let mut lambda = workspace::acquire_copy(&psi);
         observable.apply_in_place(&mut lambda);

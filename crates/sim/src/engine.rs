@@ -18,17 +18,18 @@
 //!    RepCap runs one `bind` per parameter initialization and then executes
 //!    the bound program over every sample — exactly the shared-θ /
 //!    varying-x structure of Eq. 4.
-//! 3. **Execute** ([`BoundProgram::run_batch`] and friends): the fused
-//!    program runs over a whole batch of feature vectors, parallelized
-//!    across samples via [`crate::parallel::par_map`] (order-preserving, so
-//!    batched results are bit-for-bit identical to sequential execution),
-//!    and across amplitude blocks for large single states.
+//! 3. **Execute** ([`Program::run_with`], [`BoundProgram::run_batch_with`],
+//!    [`par_items_with_arena`]): the fused program runs over a whole batch
+//!    of feature vectors, parallelized across samples through the
+//!    work-stealing pool (index-addressed, so batched results are
+//!    bit-for-bit identical to sequential execution), and across amplitude
+//!    blocks for large single states.
 //!
 //! Fused execution is exact: amplitudes agree with gate-by-gate
 //! [`StateVector::run`] to well below 1e-10 (see the crate tests and
 //! `tests/properties.rs`).
 
-use crate::parallel::{par_apply_blocks, par_map, par_map_index, par_map_index_into, SendPtr};
+use crate::parallel::{par_apply_blocks, par_map_index, par_map_index_into, SendPtr};
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
@@ -214,7 +215,7 @@ impl Fuser {
 
 /// Folds a classified instruction stream into fused ops (the one-shot
 /// wrapper over [`Fuser`], used on the cold compile/bind paths).
-pub(crate) fn fuse(num_qubits: usize, items: Vec<Item>) -> Vec<Op> {
+fn fuse(num_qubits: usize, items: Vec<Item>) -> Vec<Op> {
     let sw = elivagar_obs::metrics::Stopwatch::start();
     let mut fuser = Fuser::default();
     fuser.begin(num_qubits);
@@ -228,9 +229,8 @@ pub(crate) fn fuse(num_qubits: usize, items: Vec<Item>) -> Vec<Op> {
 
 /// Classifies a circuit's instruction stream into fusion items:
 /// constant-angle gates resolve to static unitaries, everything else
-/// keeps its symbolic slots. Shared by [`Program::compile`] and the
-/// streamed-adjoint compiler.
-pub(crate) fn classify_items(circuit: &Circuit) -> Vec<Item> {
+/// keeps its symbolic slots.
+fn classify_items(circuit: &Circuit) -> Vec<Item> {
     circuit
         .instructions()
         .iter()
@@ -359,25 +359,29 @@ impl Program {
         features: &[f64],
         post: impl FnOnce(&StateVector) -> T,
     ) -> T {
+        let psi = self.run_in_workspace(params, features);
+        let out = post(&psi);
+        workspace::release_state(psi);
+        out
+    }
+
+    /// Executes the program into a state drawn from the thread's
+    /// [`crate::workspace`] pool; the caller releases it. The streamed
+    /// adjoint's forward sweep runs through here, so its state is
+    /// bit-identical to [`Program::run`]'s.
+    pub(crate) fn run_in_workspace(&self, params: &[f64], features: &[f64]) -> StateVector {
         let mut psi = if self.amplitude_embedding {
             workspace::acquire_embedded(self.num_qubits, features)
         } else {
             workspace::acquire_zero(self.num_qubits)
         };
         self.apply(&mut psi, params, features);
-        let out = post(&psi);
-        workspace::release_state(psi);
-        out
+        psi
     }
 
-    /// Executes the program over a batch of feature vectors sharing one
-    /// parameter vector, parallelized across samples. Order-preserving:
-    /// `run_batch(p, xs)[i] == run(p, &xs[i])` bit-for-bit.
-    pub fn run_batch(&self, params: &[f64], features_batch: &[Vec<f64>]) -> Vec<StateVector> {
-        let sw = record_batch(features_batch.len());
-        let out = par_map(features_batch, |features| self.run(params, features));
-        sw.record(&elivagar_obs::metrics::ENGINE_BATCH_NS);
-        out
+    /// The fused op stream.
+    pub(crate) fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     fn initial_state(&self, features: &[f64]) -> StateVector {
@@ -388,67 +392,56 @@ impl Program {
         }
     }
 
-    /// Applies all fused ops to `psi` in place (see [`apply_ops`]).
+    /// Applies all fused ops to `psi` in place.
+    ///
+    /// Streams still holding dynamic gates get a final fusion pass now
+    /// that every angle is known, so e.g. feature-embedding rotations are
+    /// absorbed into the entangling kernels instead of executing as
+    /// standalone barrier ops. The pass costs one 4x4 matrix product per
+    /// absorbed gate — negligible next to a kernel sweep over 2^n
+    /// amplitudes — and fully static streams skip it.
     fn apply(&self, psi: &mut StateVector, params: &[f64], features: &[f64]) {
-        apply_ops(psi, &self.ops, self.num_qubits, params, features);
-    }
-}
-
-/// Applies a fused op stream to `psi` in place.
-///
-/// Streams still holding dynamic gates get a final fusion pass now that
-/// every angle is known, so e.g. feature-embedding rotations are absorbed
-/// into the entangling kernels instead of executing as standalone barrier
-/// ops. The pass costs one 4x4 matrix product per absorbed gate —
-/// negligible next to a kernel sweep over 2^n amplitudes — and fully
-/// static streams skip it. Shared by [`Program::run`] and the streamed
-/// adjoint's forward sweep, so both produce bit-identical forward states.
-pub(crate) fn apply_ops(
-    psi: &mut StateVector,
-    ops: &[Op],
-    num_qubits: usize,
-    params: &[f64],
-    features: &[f64],
-) {
-    let parallel_amps = num_qubits >= AMPLITUDE_PAR_MIN_QUBITS;
-    let has_dynamic = ops
-        .iter()
-        .any(|op| matches!(op, Op::Dyn1 { .. } | Op::Dyn2 { .. }));
-    if !has_dynamic {
-        execute_static_ops(psi, ops, parallel_amps);
-        return;
-    }
-    // Re-fuse with every angle known, in the thread's recycled scratch:
-    // the op sequence is identical to a fresh `fuse` call (same logic,
-    // same order), but the steady state allocates nothing.
-    FUSE_SCRATCH.with(|cell| {
-        let mut fuser = cell.borrow_mut();
-        let sw = elivagar_obs::metrics::Stopwatch::start();
-        fuser.begin(num_qubits);
-        for op in ops {
-            let item = match op {
-                Op::One { q, m } => Item::Static1(*q, *m),
-                Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
-                Op::Dyn1 { q, gate, params: p } => {
-                    let values = resolve_values(p, params, features);
-                    Item::Static1(*q, gate.matrix1(&values[..p.len()]))
-                }
-                Op::Dyn2 {
-                    qa,
-                    qb,
-                    gate,
-                    params: p,
-                } => {
-                    let values = resolve_values(p, params, features);
-                    Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
-                }
-            };
-            fuser.push(item);
+        let (ops, num_qubits) = (&self.ops, self.num_qubits);
+        let parallel_amps = num_qubits >= AMPLITUDE_PAR_MIN_QUBITS;
+        let has_dynamic = ops
+            .iter()
+            .any(|op| matches!(op, Op::Dyn1 { .. } | Op::Dyn2 { .. }));
+        if !has_dynamic {
+            execute_static_ops(psi, ops, parallel_amps);
+            return;
         }
-        fuser.finish();
-        sw.record(&elivagar_obs::metrics::FUSION_NS);
-        execute_static_ops(psi, &fuser.ops, parallel_amps);
-    });
+        // Re-fuse with every angle known, in the thread's recycled scratch:
+        // the op sequence is identical to a fresh `fuse` call (same logic,
+        // same order), but the steady state allocates nothing.
+        FUSE_SCRATCH.with(|cell| {
+            let mut fuser = cell.borrow_mut();
+            let sw = elivagar_obs::metrics::Stopwatch::start();
+            fuser.begin(num_qubits);
+            for op in ops {
+                let item = match op {
+                    Op::One { q, m } => Item::Static1(*q, *m),
+                    Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
+                    Op::Dyn1 { q, gate, params: p } => {
+                        let values = resolve_values(p, params, features);
+                        Item::Static1(*q, gate.matrix1(&values[..p.len()]))
+                    }
+                    Op::Dyn2 {
+                        qa,
+                        qb,
+                        gate,
+                        params: p,
+                    } => {
+                        let values = resolve_values(p, params, features);
+                        Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
+                    }
+                };
+                fuser.push(item);
+            }
+            fuser.finish();
+            sw.record(&elivagar_obs::metrics::FUSION_NS);
+            execute_static_ops(psi, &fuser.ops, parallel_amps);
+        });
+    }
 }
 
 /// The highest qubit a fully static op touches.
@@ -552,15 +545,6 @@ impl BoundProgram {
         self.program.run_with(&self.params, features, post)
     }
 
-    /// Executes the bound program over a batch of feature vectors,
-    /// parallelized across samples (order-preserving).
-    pub fn run_batch(&self, features_batch: &[Vec<f64>]) -> Vec<StateVector> {
-        let sw = record_batch(features_batch.len());
-        let out = par_map(features_batch, |features| self.run(features));
-        sw.record(&elivagar_obs::metrics::ENGINE_BATCH_NS);
-        out
-    }
-
     /// Executes over a batch and post-processes each final state in the
     /// worker that produced it, avoiding materializing every state vector.
     /// `post` receives the sample index and a borrow of its final state
@@ -590,119 +574,13 @@ impl BoundProgram {
     }
 }
 
-/// One work item of a fused multi-candidate dispatch: candidate
-/// `member`'s program executed on sample `sample` of the shared feature
-/// pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MultiItem {
-    /// Index of the candidate's program in the [`MultiProgram`].
-    pub member: u32,
-    /// Index of the feature vector in the shared batch.
-    pub sample: u32,
-}
-
-/// Compiled programs for a whole candidate cohort, executed in fused
-/// batches: every `(member, sample)` work item of one dispatch flows
-/// through the work-stealing pool together, so a cohort of k candidates
-/// saturates the pool with one dispatch instead of k sequential ones.
-/// Work items are index-addressed, which keeps per-candidate reductions
-/// bit-for-bit identical to running each candidate alone.
-#[derive(Clone, Debug)]
-pub struct MultiProgram {
-    programs: Vec<Program>,
-}
-
-impl MultiProgram {
-    /// Compiles one program per candidate circuit.
-    pub fn compile<'a>(circuits: impl IntoIterator<Item = &'a Circuit>) -> MultiProgram {
-        MultiProgram {
-            programs: circuits.into_iter().map(Program::compile).collect(),
-        }
-    }
-
-    /// Number of member programs.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Whether the cohort is empty.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// Member `m`'s compiled program.
-    pub fn program(&self, member: usize) -> &Program {
-        &self.programs[member]
-    }
-
-    /// Executes every `(member, sample)` item in one fused pool dispatch.
-    ///
-    /// Item `i` runs `programs[items[i].member]` with that member's
-    /// parameter vector on `features_batch[items[i].sample]`, then hands
-    /// `post` the item index, the item, the final state (recycled through
-    /// the worker's workspace pool afterwards), and the item's disjoint
-    /// `stride`-wide slice of `arena` — callers lay the arena out so each
-    /// candidate's items occupy a contiguous block, giving per-candidate
-    /// arena slices for gradient accumulation. Results land in `out` in
-    /// item order; with warmed capacities the call performs no heap
-    /// allocation beyond what `post` itself does.
-    ///
-    /// Per-item results are index-addressed and reductions are the
-    /// caller's (sequential, item-order) responsibility, so outputs are
-    /// bit-identical at any thread count and to per-candidate execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the member count, an item
-    /// indexes out of range, or `arena` is shorter than
-    /// `items.len() * stride`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_execute_multi<T, F>(
-        &self,
-        params: &[Vec<f64>],
-        features_batch: &[Vec<f64>],
-        items: &[MultiItem],
-        arena: &mut [f64],
-        stride: usize,
-        out: &mut Vec<T>,
-        post: F,
-    ) where
-        T: Send,
-        F: Fn(usize, MultiItem, &StateVector, &mut [f64]) -> T + Sync,
-    {
-        assert_eq!(params.len(), self.programs.len(), "one parameter vector per member");
-        assert!(
-            arena.len() >= items.len() * stride,
-            "arena holds {} f64s, need {} ({} items x stride {})",
-            arena.len(),
-            items.len() * stride,
-            items.len(),
-            stride
-        );
-        for item in items {
-            assert!((item.member as usize) < self.programs.len(), "member out of range");
-            assert!((item.sample as usize) < features_batch.len(), "sample out of range");
-        }
-        par_items_with_arena(items.len(), arena, stride, out, |i, slice| {
-            let item = items[i];
-            let m = item.member as usize;
-            self.programs[m].run_with(
-                &params[m],
-                &features_batch[item.sample as usize],
-                |psi| post(i, item, psi, slice),
-            )
-        });
-    }
-}
-
 /// Work-stealing dispatch of `num_items` independent work items, each
 /// handed its disjoint `stride`-wide slice of `arena`; results land in
-/// `out` in item order. This is the arena-slicing core that
-/// [`MultiProgram::batch_execute_multi`] runs on, exposed so callers that
-/// drive their own execution per item (e.g. streamed adjoint gradients)
-/// batch through the same pool with the same obs accounting. With warmed
-/// capacities the dispatch performs no heap allocation beyond what `f`
-/// itself does; item results are index-addressed, so outputs are
+/// `out` in item order. Callers drive their own execution per item (the
+/// cohort gradient dispatch runs one `(member, sample)` pair per item)
+/// and batch through the pool with the engine's obs accounting. With
+/// warmed capacities the dispatch performs no heap allocation beyond what
+/// `f` itself does; item results are index-addressed, so outputs are
 /// bit-identical at any thread count.
 ///
 /// # Panics
@@ -1506,47 +1384,39 @@ mod tests {
     }
 
     #[test]
-    fn multi_program_matches_per_candidate_execution() {
-        let c0 = mixed_circuit();
-        let mut c1 = Circuit::new(3);
-        c1.push_gate(Gate::Ry, &[0], &[ParamExpr::feature(0)]);
-        c1.push_gate(Gate::Cx, &[0, 2], &[]);
-        c1.push_gate(Gate::Rz, &[2], &[ParamExpr::trainable(0)]);
-        c1.set_measured(vec![0, 2]);
-        let multi = MultiProgram::compile([&c0, &c1]);
-        assert_eq!(multi.len(), 2);
+    fn par_items_with_arena_matches_per_item_execution() {
+        let c1 = {
+            let mut c = Circuit::new(3);
+            c.push_gate(Gate::Ry, &[0], &[ParamExpr::feature(0)]);
+            c.push_gate(Gate::Cx, &[0, 2], &[]);
+            c.push_gate(Gate::Rz, &[2], &[ParamExpr::trainable(0)]);
+            c.set_measured(vec![0, 2]);
+            c
+        };
+        let programs = [Program::compile(&mixed_circuit()), Program::compile(&c1)];
         let params: Vec<Vec<f64>> = vec![vec![0.7, -1.1], vec![0.25]];
         let features: Vec<Vec<f64>> = vec![vec![0.3], vec![-0.9], vec![1.4]];
-        // Member-major items, including a member/sample subset.
-        let items: Vec<MultiItem> = (0..2u32)
-            .flat_map(|m| (0..3u32).map(move |s| MultiItem { member: m, sample: s }))
-            .collect();
+        // Member-major `(program, sample)` items, the cohort layout.
+        let items: Vec<(usize, usize)> =
+            (0..2).flat_map(|m| (0..3).map(move |s| (m, s))).collect();
         let mut arena = vec![0.0; items.len() * 2];
         let mut out: Vec<f64> = Vec::new();
-        multi.batch_execute_multi(
-            &params,
-            &features,
-            &items,
-            &mut arena,
-            2,
-            &mut out,
-            |i, item, psi, slice| {
+        par_items_with_arena(items.len(), &mut arena, 2, &mut out, |i, slice| {
+            let (m, s) = items[i];
+            programs[m].run_with(&params[m], &features[s], |psi| {
                 slice[0] = i as f64;
                 slice[1] = psi.expectation_z(0);
-                psi.expectation_z(item.member as usize)
-            },
-        );
+                psi.expectation_z(m)
+            })
+        });
         assert_eq!(out.len(), items.len());
-        for (i, item) in items.iter().enumerate() {
-            let m = item.member as usize;
-            let reference = multi.program(m).run_with(
-                &params[m],
-                &features[item.sample as usize],
-                |psi| (psi.expectation_z(0), psi.expectation_z(m)),
-            );
+        for (i, &(m, s)) in items.iter().enumerate() {
+            let reference = programs[m].run_with(&params[m], &features[s], |psi| {
+                (psi.expectation_z(0), psi.expectation_z(m))
+            });
             assert_eq!(out[i].to_bits(), reference.1.to_bits(), "item {i}");
-            assert_eq!(arena[i * 2], i as f64);
-            assert_eq!(arena[i * 2 + 1].to_bits(), reference.0.to_bits());
+            assert_eq!(arena[i * 2], i as f64, "item {i} got its own slice");
+            assert_eq!(arena[i * 2 + 1].to_bits(), reference.0.to_bits(), "item {i}");
         }
     }
 
@@ -1622,7 +1492,7 @@ mod tests {
         let params = [0.2, 0.9];
         let batch: Vec<Vec<f64>> = (0..17).map(|i| vec![0.1 * i as f64]).collect();
         let bound = Program::compile(&c).bind(&params);
-        let batched = bound.run_batch(&batch);
+        let batched = bound.run_batch_with(&batch, |_, psi| psi.clone());
         for (x, psi) in batch.iter().zip(&batched) {
             assert_eq!(psi, &bound.run(x), "batched result must be bit-identical");
         }

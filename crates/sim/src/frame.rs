@@ -370,10 +370,15 @@ impl FrameSimulator {
     }
 }
 
-/// Average output distribution of a noisy Clifford circuit over
-/// bit-parallel Pauli-frame trajectories, including readout error —
-/// bit-for-bit equal to the tableau trajectory path under the same `rng`
-/// state and thread-count independent.
+/// Average output distribution of a noisy *Clifford* circuit over
+/// bit-parallel Pauli-frame trajectories with Pauli-twirled noise,
+/// including readout error. This is the execution engine behind CNR.
+///
+/// Bit-for-bit equal to the per-shot tableau oracle
+/// ([`crate::oracle::noisy_clifford_distribution_tableau`]) under the same
+/// `rng` state — asserted per trajectory by
+/// `crates/sim/tests/frame_vs_tableau.rs` — and independent of the thread
+/// count.
 ///
 /// # Errors
 ///
@@ -383,8 +388,9 @@ impl FrameSimulator {
 ///
 /// # Panics
 ///
-/// Panics under the same shape mismatches as the tableau path.
-pub fn noisy_clifford_distribution_frames<R: Rng + ?Sized>(
+/// Panics under the same shape mismatches as
+/// [`crate::trajectory::noisy_distribution`].
+pub fn noisy_clifford_distribution<R: Rng + ?Sized>(
     circuit: &Circuit,
     params: &[f64],
     features: &[f64],
@@ -414,7 +420,7 @@ pub struct FrameDistributions {
     pub noisy: Vec<f64>,
 }
 
-/// [`noisy_clifford_distribution_frames`] returning the ideal
+/// [`noisy_clifford_distribution`] returning the ideal
 /// distribution alongside the noisy one. The engine computes the ideal
 /// run anyway to reconstruct the noisy histogram, so callers comparing
 /// the two (CNR's fidelity) get it for free instead of re-simulating.
@@ -534,7 +540,7 @@ mod tests {
         let mut rng1 = StdRng::seed_from_u64(2);
         let mut rng2 = StdRng::seed_from_u64(3);
         let d_frame =
-            noisy_clifford_distribution_frames(&c, &[], &[], &noise, 6000, &mut rng1).unwrap();
+            noisy_clifford_distribution(&c, &[], &[], &noise, 6000, &mut rng1).unwrap();
         let d_sv = crate::trajectory::noisy_distribution(&c, &[], &[], &noise, 6000, &mut rng2);
         assert!(tvd(&d_frame, &d_sv) < 0.03, "{d_frame:?} vs {d_sv:?}");
     }
@@ -547,9 +553,7 @@ mod tests {
         let noise = CircuitNoise::noiseless(&[1], 1);
         let mut rng = StdRng::seed_from_u64(4);
         let before = rng.clone();
-        assert!(
-            noisy_clifford_distribution_frames(&c, &[], &[], &noise, 4, &mut rng).is_err()
-        );
+        assert!(noisy_clifford_distribution(&c, &[], &[], &noise, 4, &mut rng).is_err());
         let mut before = before;
         assert_eq!(rng.random::<u64>(), before.random::<u64>());
     }

@@ -9,14 +9,16 @@
 //! * [`stabilizer`] + [`clifford`] — Aaronson–Gottesman tableau simulation
 //!   of Clifford circuits (the engine behind the CNR predictor);
 //! * [`noise`] — Pauli / damping / readout channel descriptions;
-//! * [`trajectory`] — Monte-Carlo noisy execution for both engines;
+//! * [`trajectory`] — Monte-Carlo noisy execution on the state vector;
+//! * [`frame`] — bit-parallel Pauli-frame trajectories of noisy Clifford
+//!   circuits ([`noisy_clifford_distribution`], CNR's noisy runs);
 //! * [`density`] — exact density-matrix simulation, the ground truth the
 //!   trajectory and Pauli-frame engines are validated against
 //!   (`tests/cross_simulator.rs`);
 //! * [`engine`] — the batched gate-fusion execution engine: compile a
 //!   circuit once into fused kernels ([`Program::compile`]), bind a
 //!   parameter vector ([`Program::bind`]), then execute whole batches of
-//!   feature vectors ([`BoundProgram::run_batch`]);
+//!   feature vectors ([`BoundProgram::run_batch_with`]);
 //! * [`runtime`] + [`parallel`] — the persistent work-stealing thread
 //!   pool every parallel region dispatches through (sized by
 //!   `ELIVAGAR_THREADS`), with order-preserving [`parallel::par_map`]
@@ -91,7 +93,7 @@ pub mod trajectory;
 pub mod workspace;
 
 pub use adjoint::{AdjointProgram, Gradients, ZObservable};
-pub use engine::{par_items_with_arena, BoundProgram, MultiItem, MultiProgram, Program, TILE_QUBITS};
+pub use engine::{par_items_with_arena, BoundProgram, Program, TILE_QUBITS};
 pub use cancel::CancelToken;
 pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};
 pub use density::DensityMatrix;
@@ -102,7 +104,7 @@ pub use sampling::{counts_to_distribution, fidelity, pairwise_tvd_into, tvd};
 pub use stabilizer::{CliffordOp, Tableau};
 pub use statevector::{SimError, StateVector};
 pub use frame::{
-    noisy_clifford_distribution_frames, noisy_clifford_distribution_frames_with_ideal,
+    noisy_clifford_distribution, noisy_clifford_distribution_frames_with_ideal,
     FrameDistributions, FrameSimulator, FrameWords, DEFAULT_FRAME_WORDS, FRAME_LANES,
 };
-pub use trajectory::{noisy_clifford_distribution, noisy_distribution, noisy_distribution_auto};
+pub use trajectory::noisy_distribution;

@@ -199,7 +199,7 @@ pub fn noisy_clifford_distribution_tableau<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trajectory::noisy_clifford_distribution;
+    use crate::frame::noisy_clifford_distribution;
     use elivagar_circuit::{Gate, ParamExpr};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

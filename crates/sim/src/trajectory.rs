@@ -3,11 +3,10 @@
 //! Each trajectory runs the circuit on the state-vector engine, inserting
 //! stochastic Pauli errors and damping Kraus branches after each gate; the
 //! exact output marginal of each trajectory is averaged and the readout
-//! confusion matrix applied once at the end. A stabilizer variant does the
-//! same for Clifford circuits with Pauli-twirled noise, which is what the
-//! CNR predictor executes.
+//! confusion matrix applied once at the end. Noisy Clifford circuits,
+//! which the CNR predictor executes, run on the bit-parallel Pauli-frame
+//! engine instead ([`crate::frame::noisy_clifford_distribution`]).
 
-use crate::clifford::LowerCliffordError;
 use crate::noise::{apply_readout_error, CircuitNoise, DampingError, PauliError};
 use crate::parallel::par_map_index;
 use crate::runtime::TaskSeeds;
@@ -193,86 +192,10 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
     apply_readout_error(&acc, &noise.readout)
 }
 
-/// Average output distribution of a noisy *Clifford* circuit over
-/// stabilizer trajectories with Pauli-twirled noise, including readout
-/// error. This is the execution engine behind CNR.
-///
-/// Executed by the bit-parallel Pauli-frame engine
-/// ([`crate::frame::noisy_clifford_distribution_frames`]), which is
-/// bit-for-bit equal to the per-shot tableau oracle
-/// ([`crate::oracle::noisy_clifford_distribution_tableau`]) under the same
-/// `rng` state —
-/// asserted per trajectory by `crates/sim/tests/frame_vs_tableau.rs` —
-/// and independent of the thread count.
-///
-/// # Errors
-///
-/// Returns [`LowerCliffordError`] if the circuit (with the given parameter
-/// values) is not Clifford.
-///
-/// # Panics
-///
-/// Panics under the same shape mismatches as [`noisy_distribution`].
-pub fn noisy_clifford_distribution<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    noise: &CircuitNoise,
-    num_trajectories: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, LowerCliffordError> {
-    crate::frame::noisy_clifford_distribution_frames(
-        circuit,
-        params,
-        features,
-        noise,
-        num_trajectories,
-        rng,
-    )
-}
-
-/// [`noisy_distribution`] through the fastest applicable engine: when the
-/// noise is purely Pauli (no damping) and the bound circuit lowers to
-/// Clifford, the bit-parallel frame engine runs it; otherwise the
-/// state-vector Monte-Carlo path does. The Clifford probe happens before
-/// any RNG draw, so the fallback consumes exactly the stream
-/// [`noisy_distribution`] would. Baseline noisy-accuracy scoring
-/// dispatches through this, which makes their (Clifford-heavy) scoring
-/// loops ride the frame engine for free.
-///
-/// # Panics
-///
-/// Panics under the same shape mismatches as [`noisy_distribution`].
-pub fn noisy_distribution_auto<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    noise: &CircuitNoise,
-    num_trajectories: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    let pauli_noise_only = noise
-        .per_instruction
-        .iter()
-        .all(|n| n.damping.iter().all(|d| d.gamma == 0.0 && d.lambda == 0.0));
-    if pauli_noise_only {
-        if let Ok(dist) = crate::frame::noisy_clifford_distribution_frames(
-            circuit,
-            params,
-            features,
-            noise,
-            num_trajectories,
-            rng,
-        ) {
-            return dist;
-        }
-    }
-    noisy_distribution(circuit, params, features, noise, num_trajectories, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::noisy_clifford_distribution;
     use crate::sampling::tvd;
     use elivagar_circuit::ParamExpr;
     use rand::rngs::StdRng;
@@ -336,32 +259,6 @@ mod tests {
             noisy_clifford_distribution(&c, &[], &[], &noise, 6000, &mut rng1).unwrap();
         let d_sv = noisy_distribution(&c, &[], &[], &noise, 6000, &mut rng2);
         assert!(tvd(&d_cliff, &d_sv) < 0.03, "{d_cliff:?} vs {d_sv:?}");
-    }
-
-    #[test]
-    fn auto_dispatch_falls_back_to_statevector_for_non_clifford() {
-        let mut c = Circuit::new(1);
-        c.push_gate(Gate::Rx, &[0], &[ParamExpr::constant(0.3)]);
-        c.set_measured(vec![0]);
-        let noise = CircuitNoise::uniform(&[1], 1, 0.02, 0.0, 0.0);
-        let auto = noisy_distribution_auto(
-            &c, &[], &[], &noise, 50, &mut StdRng::seed_from_u64(9),
-        );
-        let sv = noisy_distribution(&c, &[], &[], &noise, 50, &mut StdRng::seed_from_u64(9));
-        assert_eq!(auto, sv);
-        // A Clifford circuit under Pauli-only noise takes the frame path.
-        let mut c = Circuit::new(1);
-        c.push_gate(Gate::H, &[0], &[]);
-        c.set_measured(vec![0]);
-        let noise = CircuitNoise::uniform(&[1], 1, 0.02, 0.0, 0.0);
-        let auto = noisy_distribution_auto(
-            &c, &[], &[], &noise, 50, &mut StdRng::seed_from_u64(10),
-        );
-        let frame = noisy_clifford_distribution(
-            &c, &[], &[], &noise, 50, &mut StdRng::seed_from_u64(10),
-        )
-        .unwrap();
-        assert_eq!(auto, frame);
     }
 
     #[test]

@@ -49,6 +49,10 @@ for t in 1 2 4; do
   ELIVAGAR_THREADS="$t" run_counted "determinism @ $t threads" \
     cargo test -q -p elivagar-bench --test determinism
 done
+# The same goldens with telemetry compiled out: the run-local candidate
+# funnel and every result must not depend on the instrumentation.
+run_counted "determinism (telemetry compiled out)" \
+  cargo test -q -p elivagar-bench --no-default-features --test determinism
 
 # Exact SIMD matrix: the vectorized RepCap measurement stage must equal
 # its per-pair oracle under to_bits (batched engine calls dispatch

@@ -36,11 +36,13 @@
 //!
 //! `search` runs the full pipeline (search, train, noisy evaluation) and
 //! prints the selected circuit as OpenQASM with the trained angles bound
-//! to the first test sample. `--epochs` must be at least 1, for `search`
-//! and `submit` alike. `--checkpoint` journals completed candidate
-//! evaluations so an interrupted run can be picked up with `--resume`
-//! (which implies checkpointing to the same file); the resumed search
-//! reproduces the uninterrupted ranking bit for bit.
+//! to the first test sample. Numeric flags are checked before any work
+//! starts: a malformed or out-of-range value (`--priority 300`, `--params
+//! 0`, `--population 1`) exits 1 with a message. `--epochs` must be at
+//! least 1, for `search` and `submit` alike. `--checkpoint` journals
+//! completed candidate evaluations so an interrupted run can be picked up
+//! with `--resume` (which implies checkpointing to the same file); the
+//! resumed search reproduces the uninterrupted ranking bit for bit.
 //!
 //! `--cache DIR` attaches a persistent content-addressed result cache:
 //! CNR and RepCap evaluations whose full input fingerprint (circuit,
@@ -63,7 +65,9 @@ use elivagar_device::{all_devices, circuit_noise, device_by_name};
 use elivagar_ml::{accuracy, noisy_accuracy, QuantumClassifier, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::{IntErrorKind, ParseIntError};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -72,16 +76,24 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses an unsigned-integer flag: `Ok(None)` when absent, and a message
-/// plus exit code 1 when present but malformed.
-fn parse_u64(args: &[String], name: &str) -> Result<Option<u64>, ExitCode> {
-    match flag_value(args, name) {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| {
+/// Parses an unsigned-integer flag into `T`: `Ok(None)` when absent, and a
+/// message plus exit code 1 when present but malformed or too large for
+/// `T`, never a silently wrapped value.
+fn parse_flag<T: FromStr<Err = ParseIntError>>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, ExitCode> {
+    let Some(v) = flag_value(args, name) else {
+        return Ok(None);
+    };
+    v.parse().map(Some).map_err(|e: ParseIntError| {
+        if *e.kind() == IntErrorKind::PosOverflow {
+            eprintln!("{name} is out of range, got {v:?}");
+        } else {
             eprintln!("{name} expects an unsigned integer, got {v:?}");
-            ExitCode::FAILURE
-        }),
-    }
+        }
+        ExitCode::FAILURE
+    })
 }
 
 fn usage() -> ExitCode {
@@ -140,7 +152,7 @@ fn main() -> ExitCode {
             };
             // Every numeric flag is validated before any work starts.
             let parse = |name: &str, default: usize| -> Result<usize, ExitCode> {
-                Ok(parse_u64(&args, name)?.map_or(default, |v| v as usize))
+                Ok(parse_flag(&args, name)?.unwrap_or(default))
             };
             let nsga2 = Nsga2Config::default();
             let numbers = (|| {
@@ -160,9 +172,16 @@ fn main() -> ExitCode {
                     Ok(numbers) => numbers,
                     Err(code) => return code,
                 };
-            if epochs == 0 {
-                eprintln!("--epochs must be >= 1");
-                return ExitCode::FAILURE;
+            for (name, value, min) in [
+                ("--candidates", candidates, 1),
+                ("--params", params, 1),
+                ("--epochs", epochs, 1),
+                ("--population", population, 2),
+            ] {
+                if value < min {
+                    eprintln!("{name} must be >= {min}");
+                    return ExitCode::FAILURE;
+                }
             }
             let seed = seed as u64;
 
@@ -377,18 +396,17 @@ fn main() -> ExitCode {
             // A shared cache directory lets tenants searching the same
             // device reuse each other's CNR/RepCap evaluations.
             job.cache_dir = flag_value(&args, "--cache-dir");
-            let parse_u64 = |name: &str| parse_u64(&args, name);
             let fields = (|| {
-                job.priority = parse_u64("--priority")?.unwrap_or(0) as u8;
-                job.candidates = parse_u64("--candidates")?.unwrap_or(4) as usize;
-                job.seed = parse_u64("--seed")?.unwrap_or(0);
-                job.train_size = parse_u64("--train-size")?.unwrap_or(24) as usize;
-                job.test_size = parse_u64("--test-size")?.unwrap_or(8) as usize;
-                job.train_epochs = parse_u64("--epochs")?.map(|v| v as usize);
-                job.slice_records = parse_u64("--slice-records")?.map(|v| v as usize);
-                job.deadline_slices = parse_u64("--deadline-slices")?;
-                job.deadline_ms = parse_u64("--deadline-ms")?;
-                job.max_retries = parse_u64("--max-retries")?.map(|v| v as u32);
+                job.priority = parse_flag(&args, "--priority")?.unwrap_or(0);
+                job.candidates = parse_flag(&args, "--candidates")?.unwrap_or(4);
+                job.seed = parse_flag(&args, "--seed")?.unwrap_or(0);
+                job.train_size = parse_flag(&args, "--train-size")?.unwrap_or(24);
+                job.test_size = parse_flag(&args, "--test-size")?.unwrap_or(8);
+                job.train_epochs = parse_flag(&args, "--epochs")?;
+                job.slice_records = parse_flag(&args, "--slice-records")?;
+                job.deadline_slices = parse_flag(&args, "--deadline-slices")?;
+                job.deadline_ms = parse_flag(&args, "--deadline-ms")?;
+                job.max_retries = parse_flag(&args, "--max-retries")?;
                 Ok(())
             })();
             if let Err(code) = fields {

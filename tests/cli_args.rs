@@ -58,3 +58,45 @@ fn zero_training_epochs_exit_with_code_1_before_any_work() {
     assert!(stderr.contains("--epochs must be >= 1"), "submit --epochs 0:\n{stderr}");
     assert!(!spool.exists(), "submit --epochs 0 created the spool");
 }
+
+#[test]
+fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
+    // u64::MAX + 1: too large for every numeric flag.
+    let huge = "18446744073709551616";
+    for (flag, value, message) in [
+        ("--candidates", "0", "--candidates must be >= 1".to_string()),
+        ("--params", "0", "--params must be >= 1".to_string()),
+        ("--population", "1", "--population must be >= 2".to_string()),
+        ("--seed", huge, format!("--seed is out of range, got {huge:?}")),
+    ] {
+        let output = search(&["--strategy", "nsga2", flag, value]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}:\n{stderr}");
+        assert!(stderr.contains(&message), "{flag} {value} must say why:\n{stderr}");
+        assert!(
+            !stderr.contains("evolving"),
+            "{flag} {value} must fail before the search starts:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag} {value} printed QASM");
+    }
+
+    let spool = std::env::temp_dir().join(format!("elivagar-cli-range-{}", std::process::id()));
+    // --priority is a u8 and --max-retries a u32.
+    let submit_cases =
+        [("--priority", "300"), ("--max-retries", "4294967296"), ("--candidates", huge)];
+    for (flag, value) in submit_cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
+            .args(["submit", "--spool"])
+            .arg(&spool)
+            .args(["--id", "range", flag, value])
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "submit {flag} {value}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} is out of range, got {value:?}")),
+            "submit {flag} {value} must name the bad value:\n{stderr}"
+        );
+        assert!(!spool.exists(), "submit {flag} {value} created the spool");
+    }
+}
