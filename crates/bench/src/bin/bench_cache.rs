@@ -4,14 +4,15 @@
 //! from the cache) on a moons workload sized like a small production
 //! sweep.
 //!
-//! Correctness first, speed second: before any timing, the cold and warm
-//! runs are asserted equal to an entirely uncached reference run, so the
-//! reported speedup is for *exactly* the same answer. `scripts/verify.sh`
-//! gates on `speedup >= 2.0 && winner_match == true`.
+//! Correctness first, speed second: every cold and warm run is compared
+//! with an entirely uncached reference run (`winner_match`), so the
+//! reported speedup is for *exactly* the same answer. The binary exits 1
+//! unless `speedup >= 2.0` and `winner_match`.
 
 use elivagar::{run_search, Cache, RunOptions, SearchConfig};
-use elivagar_bench::{median, time_ns};
+use elivagar_bench::{gate, median, time_ns, Bound};
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct Report {
@@ -38,7 +39,7 @@ fn counter(stats: &elivagar_obs::RunStats, name: &str) -> u64 {
         .map_or(0, |&(_, v)| v)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let device = elivagar_device::devices::ibm_lagos();
     let dataset = elivagar_datasets::moons(60, 20, 3).normalized(std::f64::consts::PI);
     let mut config = SearchConfig::for_task(4, 16, 2, 2);
@@ -96,7 +97,9 @@ fn main() {
         warm_hit_rate,
         winner_match,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_cache.json", &json).expect("write BENCH_cache.json");
-    println!("{json}");
+    let bounds = [
+        Bound::at_least("speedup", report.speedup, 2.0),
+        Bound::holds("winner_match", report.winner_match),
+    ];
+    gate::finish("cache", &report, &bounds)
 }

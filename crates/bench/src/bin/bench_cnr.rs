@@ -5,10 +5,10 @@
 //!
 //! Both engines are run from the same RNG seed and asserted bit-identical
 //! before timing, so the reported speedup is for *exactly* the same
-//! computation. `scripts/verify.sh` gates on `speedup >= 5.0`.
+//! computation. The binary exits 1 unless `speedup >= 5.0`.
 
 use elivagar::{clifford_replica, generate_candidate, SearchConfig};
-use elivagar_bench::time_reps;
+use elivagar_bench::{gate, time_reps, Bound};
 use elivagar_device::circuit_noise;
 use elivagar_sim::noisy_clifford_distribution;
 use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::hint::black_box;
+use std::process::ExitCode;
 
 const TRAJECTORIES: usize = 1000;
 
@@ -32,8 +33,7 @@ struct Report {
     speedup: f64,
 }
 
-
-fn main() {
+fn main() -> ExitCode {
     // The same reference candidate as `bench_fusion`'s RepCap-shaped
     // workload: 10 qubits, 60-parameter budget, seed 3.
     let device = elivagar_device::devices::ibmq_kolkata();
@@ -101,7 +101,6 @@ fn main() {
         frame_min_ns,
         speedup: tableau_median_ns as f64 / frame_median_ns as f64,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_cnr.json", &json).expect("write BENCH_cnr.json");
-    println!("{json}");
+    let bounds = [Bound::at_least("speedup", report.speedup, 5.0)];
+    gate::finish("cnr", &report, &bounds)
 }

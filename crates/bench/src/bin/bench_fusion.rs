@@ -20,18 +20,18 @@
 //! cross-entropy loss. The two are timed alternately — 5 warm-up pairs,
 //! then 30 pairs of one forward minibatch and one gradient minibatch —
 //! and `gradient_over_forward` is the median of the 30 per-pair ratios,
-//! so host-speed drift between pairs cancels out. `scripts/verify.sh`
-//! gates on `gradient_over_forward <= 7.5` and on `ranking_match`: the
+//! so host-speed drift between pairs cancels out. The binary exits 1
+//! unless `gradient_over_forward <= 7.5` and `ranking_match`: the
 //! per-sample losses the streamed gradient reports must rank the
-//! minibatch exactly as the forward-only losses do. Untimed, the mean
-//! gradient must match `oracle::adjoint_gradient` to 1e-8.
+//! minibatch exactly as the forward-only losses do. Untimed, it asserts
+//! that the mean gradient matches `oracle::adjoint_gradient` to 1e-8.
 //!
 //! Wall times are compared within this one process (same thread count,
 //! same build); per-gate throughput is also recorded because it is
 //! machine-relative but workload-independent.
 
 use elivagar::{generate_candidate, SearchConfig};
-use elivagar_bench::{median, time_ns, time_reps};
+use elivagar_bench::{gate, median, time_ns, time_reps, Bound};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_ml::{batch_gradient, cross_entropy, GradientMethod, QuantumClassifier};
 use elivagar_sim::oracle::adjoint_gradient;
@@ -41,6 +41,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::hint::black_box;
+use std::process::ExitCode;
 
 /// Forward/gradient pairs timed after the warm-up pairs.
 const PAIRS: usize = 30;
@@ -51,7 +52,7 @@ struct Report {
     forward: Vec<ForwardWorkload>,
     minibatch: Minibatch,
     /// Median over the timed pairs of (gradient minibatch time) / (forward
-    /// minibatch time); the verify gate reads it here.
+    /// minibatch time).
     gradient_over_forward: f64,
     /// The streamed gradient's per-sample losses rank the minibatch
     /// exactly as the forward-only losses do.
@@ -192,7 +193,7 @@ fn forward_loss(
     })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n = TILE_QUBITS + 2;
     let dense = dense_circuit(n);
     let diagonal = diagonal_circuit(n);
@@ -304,7 +305,9 @@ fn main() {
         gradient_over_forward,
         ranking_match,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_fusion.json", &json).expect("write BENCH_fusion.json");
-    println!("{json}");
+    let bounds = [
+        Bound::at_most("gradient_over_forward", report.gradient_over_forward, 7.5),
+        Bound::holds("ranking_match", report.ranking_match),
+    ];
+    gate::finish("fusion", &report, &bounds)
 }

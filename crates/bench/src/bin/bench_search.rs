@@ -7,14 +7,16 @@
 //! circuits in a single round. Both strategies share the reference
 //! workload (moons on ibm_lagos), the same seed, and the same composite
 //! score, so the `quality_ratio` column isolates what the evolutionary
-//! operators buy per evaluation. `scripts/verify.sh` gates on the front
-//! being non-degenerate (>= 2 mutually non-dominated circuits) at every
-//! budget.
+//! operators buy per evaluation. The binary asserts that evolution spends
+//! exactly the granted budget, and exits 1 unless the front is
+//! non-degenerate at every budget: `front_size >= 2` mutually
+//! non-dominated circuits.
 
 use elivagar::{run_search, Nsga2Config, RunOptions, SearchConfig};
-use elivagar_bench::time_ns;
+use elivagar_bench::{gate, time_ns, Bound};
 use elivagar_datasets::moons;
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct Report {
@@ -46,7 +48,7 @@ fn reference_config() -> SearchConfig {
     config
 }
 
-fn main() {
+fn main() -> ExitCode {
     let device = elivagar_device::devices::ibm_lagos();
     let dataset = moons(60, 20, 3).normalized(std::f64::consts::PI);
 
@@ -92,8 +94,10 @@ fn main() {
         });
     }
 
+    let bounds: Vec<Bound> = budgets
+        .iter()
+        .map(|b| Bound::at_least(&format!("front_size at {} evals", b.evals), b.front_size, 2))
+        .collect();
     let report = Report { threads: elivagar_sim::num_threads(), budgets };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_search.json", &json).expect("write BENCH_search.json");
-    println!("{json}");
+    gate::finish("search", &report, &bounds)
 }

@@ -9,8 +9,8 @@
 //! baseline is sequential one-member cohorts; the contender calls
 //! [`train_cohort`] with 4 halving rungs, which prunes the cohort
 //! 16 → 8 → 4 → 2 → 1 at epochs 1/2/4/8 and therefore trains 48
-//! member-epochs instead of 256. `scripts/verify.sh` gates on
-//! `speedup >= 3` and on `ranking_match`: with halving off, every member's
+//! member-epochs instead of 256. The binary exits 1 unless
+//! `speedup >= 3.0` and `ranking_match`: with halving off, every member's
 //! outcome must be bit-identical to its solo run, so the loss-based
 //! ranking cannot move.
 //!
@@ -18,11 +18,12 @@
 //! same build); the JSON also records member-epoch counts, which are
 //! machine-independent.
 
-use elivagar_bench::time_ns;
+use elivagar_bench::{gate, time_ns, Bound};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_ml::{train_cohort, try_train, QuantumClassifier, TrainConfig};
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct Report {
@@ -65,7 +66,7 @@ fn layered_model(qubits: usize, layers: usize) -> QuantumClassifier {
     QuantumClassifier::new(c, 2)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let data = moons(64, 16, 3).normalized(std::f64::consts::PI);
     let models: Vec<QuantumClassifier> = (0..16)
         .map(|i| layered_model(2 + i % 3, 1 + i % 2))
@@ -125,7 +126,9 @@ fn main() {
         ranking_match,
         pruned,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_train.json", &json).expect("write BENCH_train.json");
-    println!("{json}");
+    let bounds = [
+        Bound::at_least("speedup", report.speedup, 3.0),
+        Bound::holds("ranking_match", report.ranking_match),
+    ];
+    gate::finish("train", &report, &bounds)
 }

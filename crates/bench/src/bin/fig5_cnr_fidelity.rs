@@ -6,50 +6,18 @@
 //! (Aspen-M-2); the reproduction should show the same strongly positive
 //! correlation.
 
-use elivagar::{cnr, generate_candidate, SearchConfig};
-use elivagar_bench::{candidate_fidelity, pearson, print_table, Scale};
+use elivagar_bench::{cnr_vs_fidelity, pearson, print_table, Scale};
 use elivagar_device::devices::{ibm_guadalupe, ibmq_kolkata, rigetti_aspen_m2};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let scale = Scale::from_env();
-    let num_circuits = (3 * scale.candidates / 2).max(24);
-    // The correlation signal needs tight estimators: both CNR and the true
-    // fidelity are Monte-Carlo estimates, and on quiet IBM devices the
-    // fidelity spread is only ~0.3 wide.
-    let trajectories = scale.trajectories.max(128);
     let devices = [ibm_guadalupe(), ibmq_kolkata(), rigetti_aspen_m2()];
 
     let mut rows = Vec::new();
     for device in &devices {
-        let mut config = SearchConfig::for_task(4, 12, 4, 2);
-        // Measure every qubit: fidelity over the full 16-outcome
-        // distribution discriminates circuits much better than a single
-        // qubit's marginal.
-        config.num_measured = 4;
-        config.clifford_replicas = 32;
-        config.cnr_trajectories = trajectories;
-        let mut rng = StdRng::seed_from_u64(0x0F16_0005);
-        let mut cnrs = Vec::new();
-        let mut fidelities = Vec::new();
-        for i in 0..num_circuits {
-            // Vary circuit size widely so the fidelity range matches the
-            // paper's scatter plots.
-            config.param_budget = 8 + (i % 6) * 8;
-            let cand = generate_candidate(device, &config, &mut rng);
-            let r = cnr(&cand, device, &config, &mut rng).expect("device-aware candidate");
-            // Average the true fidelity over several random parameter
-            // draws, as the trained circuit would visit many angles.
-            let f = (0..3)
-                .map(|k| candidate_fidelity(device, &cand, trajectories, (3 * i + k) as u64))
-                .sum::<f64>()
-                / 3.0;
-            cnrs.push(r.cnr);
-            fidelities.push(f);
-        }
+        let (cnrs, fidelities) = cnr_vs_fidelity(device, scale);
         let r = pearson(&cnrs, &fidelities);
-        println!("\n# {} — CNR vs fidelity over {num_circuits} circuits", device.name());
+        println!("\n# {} — CNR vs fidelity over {} circuits", device.name(), cnrs.len());
         for (c, f) in cnrs.iter().zip(&fidelities) {
             println!("cnr={c:.4} fidelity={f:.4}");
         }

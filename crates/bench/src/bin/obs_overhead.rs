@@ -1,12 +1,13 @@
-//! Measures the telemetry layer's overhead on the golden search workload
-//! (`BENCH_obs.json` when redirected by `scripts/verify.sh`).
+//! Measures the telemetry layer's overhead on the golden search workload.
 //!
-//! Prints one JSON object with the build's telemetry state and the best-of
-//! wall time over several repetitions of the full search pipeline. The
-//! verify gate builds this binary twice — default features (instrumented)
-//! and `--no-default-features` (counters compiled out) — and fails if the
-//! instrumented build is more than 5% slower, enforcing the obs crate's
-//! "cheap enough to leave on" contract.
+//! Prints two plain tokens: whether telemetry is compiled into this build
+//! (`true` or `false`) and the best wall time in nanoseconds over several
+//! repetitions of the full search pipeline (`obs_overhead [REPS]`, 10 by
+//! default). `scripts/verify.sh` builds this binary twice — default
+//! features (instrumented) and `--no-default-features` (counters compiled
+//! out) — checks that each build reports the telemetry state it was built
+//! with, and fails if the instrumented build is more than 5% slower,
+//! enforcing the obs crate's "cheap enough to leave on" contract.
 
 use elivagar::config::SearchConfig;
 use elivagar::search;
@@ -37,10 +38,5 @@ fn main() {
         best_ns = best_ns.min(time_ns(|| search::search(&device, &dataset, &config)).0);
     }
 
-    println!(
-        "{{\"telemetry\":{},\"reps\":{},\"best_wall_ns\":{}}}",
-        elivagar_obs::compiled_in(),
-        reps,
-        best_ns
-    );
+    println!("{} {best_ns}", elivagar_obs::compiled_in());
 }

@@ -6,7 +6,7 @@
 //! with the paper's methodology, and evaluated both noiselessly and under
 //! the device noise model.
 
-use elivagar::{search, EmbeddingPolicy, SearchConfig, SearchResult};
+use elivagar::{cnr, generate_candidate, search, EmbeddingPolicy, SearchConfig, SearchResult};
 use elivagar_baselines::{
     human_baseline_circuits, quantum_nas_search, random_baseline_circuit, supernet_search,
     QuantumNasConfig, SupernetConfig, SuperTrainConfig,
@@ -296,6 +296,45 @@ pub fn candidate_fidelity(
         &mut rng,
     );
     elivagar_sim::fidelity(&ideal, &noisy)
+}
+
+/// Fig. 5c/d's series on one device: the CNR and the true fidelity
+/// ([`candidate_fidelity`], averaged over three parameter draws) of
+/// generated 4-qubit circuits whose parameter budgets cycle from 8 to 48,
+/// from a fixed seed. Returns `(cnrs, fidelities)`, one entry per
+/// circuit: `max(3 * scale.candidates / 2, 24)` of them.
+pub fn cnr_vs_fidelity(device: &Device, scale: Scale) -> (Vec<f64>, Vec<f64>) {
+    let num_circuits = (3 * scale.candidates / 2).max(24);
+    // The correlation signal needs tight estimators: both CNR and the true
+    // fidelity are Monte-Carlo estimates, and on quiet IBM devices the
+    // fidelity spread is only ~0.3 wide.
+    let trajectories = scale.trajectories.max(128);
+    let mut config = SearchConfig::for_task(4, 12, 4, 2);
+    // Measure every qubit: fidelity over the full 16-outcome
+    // distribution discriminates circuits much better than a single
+    // qubit's marginal.
+    config.num_measured = 4;
+    config.clifford_replicas = 32;
+    config.cnr_trajectories = trajectories;
+    let mut rng = StdRng::seed_from_u64(0x0F16_0005);
+    let mut cnrs = Vec::new();
+    let mut fidelities = Vec::new();
+    for i in 0..num_circuits {
+        // Vary circuit size widely so the fidelity range matches the
+        // paper's scatter plots.
+        config.param_budget = 8 + (i % 6) * 8;
+        let cand = generate_candidate(device, &config, &mut rng);
+        let r = cnr(&cand, device, &config, &mut rng).expect("device-aware candidate");
+        // Average the true fidelity over several random parameter
+        // draws, as the trained circuit would visit many angles.
+        let f = (0..3)
+            .map(|k| candidate_fidelity(device, &cand, trajectories, (3 * i + k) as u64))
+            .sum::<f64>()
+            / 3.0;
+        cnrs.push(r.cnr);
+        fidelities.push(f);
+    }
+    (cnrs, fidelities)
 }
 
 /// Runs the Random baseline (average over `scale.repeats` circuits).

@@ -71,8 +71,6 @@ pub fn score_order(a: Option<f64>, b: Option<f64>) -> Ordering {
 /// checkpoint journals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SearchStage {
-    /// Candidate generation (Algorithm 1).
-    Generate,
     /// Clifford Noise Resilience evaluation.
     Cnr,
     /// Representational Capacity evaluation.
@@ -91,7 +89,6 @@ pub enum SearchStage {
 impl fmt::Display for SearchStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            SearchStage::Generate => "generate",
             SearchStage::Cnr => "CNR",
             SearchStage::RepCap => "RepCap",
             SearchStage::Score => "score",

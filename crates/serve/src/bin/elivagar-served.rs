@@ -15,47 +15,17 @@
 //!                 [--checkpoint-every N] [--tenant-budget N]
 //!                 [--tenant-weight NAME=W]... [--max-ticks N] [--quiet]
 //! ```
+//!
+//! Numeric flags are checked before the state directory is created: a
+//! malformed or out-of-range value, or zero for `--queue-depth`,
+//! `--slice-records`, `--checkpoint-every` or a `--tenant-weight`, exits 1
+//! with a message. So does a malformed `ELIVAGAR_THREADS`, which
+//! `Daemon::open` refuses before it creates anything.
 
+use elivagar_serve::flags::{flag_value, flag_values, parse_flag, parse_number};
 use elivagar_serve::{AdmitError, Daemon, JobSpec, JobState, ServeConfig};
 use serde::Serialize;
-use std::num::{IntErrorKind, ParseIntError};
 use std::process::ExitCode;
-use std::str::FromStr;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag_values(args: &[String], name: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == name)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
-
-/// Parses an unsigned-integer flag into `T`: `Ok(None)` when absent, and a
-/// message plus exit code 1 when present but malformed or too large for
-/// `T`, never a silently dropped or wrapped value.
-fn parse_flag<T: FromStr<Err = ParseIntError>>(
-    args: &[String],
-    name: &str,
-) -> Result<Option<T>, ExitCode> {
-    let Some(v) = flag_value(args, name) else {
-        return Ok(None);
-    };
-    v.parse().map(Some).map_err(|e: ParseIntError| {
-        if *e.kind() == IntErrorKind::PosOverflow {
-            eprintln!("{name} is out of range, got {v:?}");
-        } else {
-            eprintln!("{name} expects an unsigned integer, got {v:?}");
-        }
-        ExitCode::FAILURE
-    })
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -107,32 +77,26 @@ fn main() -> ExitCode {
     let mut max_ticks = 100_000;
     let numbers = (|| {
         let c = &mut config;
-        c.queue_depth = parse_flag(&args, "--queue-depth")?.unwrap_or(c.queue_depth);
-        c.slice_records = parse_flag(&args, "--slice-records")?
-            .unwrap_or(c.slice_records)
-            .max(1);
-        c.max_retries = parse_flag(&args, "--max-retries")?.unwrap_or(c.max_retries);
-        c.backoff_base = parse_flag(&args, "--backoff-base")?.unwrap_or(c.backoff_base);
-        c.checkpoint_every = parse_flag(&args, "--checkpoint-every")?
-            .unwrap_or(c.checkpoint_every)
-            .max(1);
-        c.tenant_record_budget = parse_flag(&args, "--tenant-budget")?;
-        max_ticks = parse_flag(&args, "--max-ticks")?.unwrap_or(max_ticks);
-        Ok::<_, ExitCode>(())
+        c.queue_depth = parse_flag(&args, "--queue-depth", 1)?.unwrap_or(c.queue_depth);
+        c.slice_records = parse_flag(&args, "--slice-records", 1)?.unwrap_or(c.slice_records);
+        c.max_retries = parse_flag(&args, "--max-retries", 0)?.unwrap_or(c.max_retries);
+        c.backoff_base = parse_flag(&args, "--backoff-base", 0)?.unwrap_or(c.backoff_base);
+        c.checkpoint_every =
+            parse_flag(&args, "--checkpoint-every", 1)?.unwrap_or(c.checkpoint_every);
+        c.tenant_record_budget = parse_flag(&args, "--tenant-budget", 0)?;
+        max_ticks = parse_flag(&args, "--max-ticks", 0)?.unwrap_or(max_ticks);
+        for entry in flag_values(&args, "--tenant-weight") {
+            let Some((name, weight)) = entry.split_once('=') else {
+                return Err(format!("--tenant-weight expects NAME=WEIGHT, got {entry:?}"));
+            };
+            let weight = parse_number("--tenant-weight", weight, 1)?;
+            c.tenant_weights.push((name.to_string(), weight));
+        }
+        Ok(())
     })();
-    if numbers.is_err() {
+    if let Err(message) = numbers {
+        eprintln!("{message}");
         return usage();
-    }
-    for entry in flag_values(&args, "--tenant-weight") {
-        let Some((name, weight)) = entry.split_once('=') else {
-            eprintln!("--tenant-weight expects NAME=WEIGHT, got {entry:?}");
-            return usage();
-        };
-        let Ok(weight) = weight.parse::<u64>() else {
-            eprintln!("--tenant-weight expects an integer weight, got {entry:?}");
-            return usage();
-        };
-        config.tenant_weights.push((name.to_string(), weight));
     }
 
     let mut daemon = match Daemon::open(config) {

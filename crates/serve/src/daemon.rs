@@ -44,7 +44,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Daemon configuration.
+/// Daemon configuration. [`Daemon::open`] refuses a zero `queue_depth`,
+/// `slice_records`, `checkpoint_every` or tenant weight.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Root of the daemon's durable state: `journal.log`, `checkpoints/`,
@@ -89,11 +90,24 @@ impl ServeConfig {
         }
     }
 
+    /// Names the first setting that must be at least 1 but is zero.
+    fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("queue_depth", self.queue_depth),
+            ("slice_records", self.slice_records),
+            ("checkpoint_every", self.checkpoint_every),
+        ];
+        if let Some((name, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Err(format!("{name} must be >= 1"));
+        }
+        if let Some((tenant, _)) = self.tenant_weights.iter().find(|&&(_, w)| w == 0) {
+            return Err(format!("the weight of tenant {tenant:?} must be >= 1"));
+        }
+        Ok(())
+    }
+
     fn weight_of(&self, tenant: &str) -> u64 {
-        self.tenant_weights
-            .iter()
-            .find(|(name, _)| name == tenant)
-            .map_or(1, |&(_, w)| w.max(1))
+        self.tenant_weights.iter().find(|(name, _)| name == tenant).map_or(1, |&(_, w)| w)
     }
 }
 
@@ -115,8 +129,8 @@ pub enum AdmitError {
         /// The unknown name.
         name: String,
     },
-    /// The spec is self-inconsistent (e.g. zero candidates or zero
-    /// training epochs).
+    /// The spec is self-inconsistent (e.g. zero candidates, training
+    /// epochs or slice records).
     InvalidSpec {
         /// What is wrong.
         detail: String,
@@ -151,8 +165,8 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// A daemon-level failure (journal or state-directory I/O — job failures
-/// are data, not errors).
+/// A daemon-level failure (configuration, journal or state-directory I/O —
+/// job failures are data, not errors).
 #[derive(Debug)]
 pub enum ServeError {
     /// Filesystem failure against the state directory.
@@ -164,6 +178,13 @@ pub enum ServeError {
     },
     /// The daemon journal could not be written.
     Journal(JournalError),
+    /// A setting the daemon cannot run with: a zero queue depth, slice
+    /// size, checkpoint cadence or tenant weight in [`ServeConfig`], or a
+    /// malformed `ELIVAGAR_THREADS`.
+    InvalidConfig {
+        /// What is wrong.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -171,6 +192,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io { path, message } => write!(f, "serve I/O failure at {path}: {message}"),
             ServeError::Journal(e) => write!(f, "{e}"),
+            ServeError::InvalidConfig { detail } => write!(f, "invalid daemon config: {detail}"),
         }
     }
 }
@@ -283,9 +305,17 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// On filesystem failures creating the state layout or reading the
-    /// journal.
+    /// [`ServeError::InvalidConfig`], before anything is created, on a
+    /// zero setting or when [`elivagar_sim::threads_from_env`] fails: the
+    /// pool starts inside a slice's panic isolation, so a bad
+    /// `ELIVAGAR_THREADS` would otherwise fail every slice and
+    /// dead-letter every job. Otherwise on filesystem failures creating
+    /// the state layout or reading the journal.
     pub fn open(config: ServeConfig) -> Result<Daemon, ServeError> {
+        config
+            .validate()
+            .and_then(|()| elivagar_sim::threads_from_env().map(drop))
+            .map_err(|detail| ServeError::InvalidConfig { detail })?;
         for dir in [
             config.state_dir.clone(),
             config.state_dir.join("checkpoints"),
@@ -443,6 +473,9 @@ impl Daemon {
         }
         if spec.train_epochs == Some(0) {
             return self.reject(AdmitError::InvalidSpec { detail: "train_epochs must be >= 1".into() });
+        }
+        if spec.slice_records == Some(0) {
+            return self.reject(AdmitError::InvalidSpec { detail: "slice_records must be >= 1".into() });
         }
         if elivagar_datasets::spec(&spec.benchmark).is_none() {
             return self.reject(AdmitError::UnknownBenchmark { name: spec.benchmark });

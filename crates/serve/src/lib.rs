@@ -30,9 +30,12 @@
 //! * [`journal`] — the append-only daemon journal with torn-tail
 //!   recovery, and checksummed result artifacts;
 //! * [`daemon`] — admission control, the tick scheduler, fair-share,
-//!   deadlines, retries, and conservation checking.
+//!   deadlines, retries, and conservation checking;
+//! * [`flags`] — the command-line flag parser `elivagar-served` and
+//!   `elivagar-cli` share.
 
 pub mod daemon;
+pub mod flags;
 pub mod job;
 pub mod journal;
 

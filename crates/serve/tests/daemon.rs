@@ -7,7 +7,8 @@
 //! writes at armed faultpoints.
 
 use elivagar_serve::{
-    AdmitError, Daemon, FailKind, JobResult, JobSpec, JobState, ServeConfig, TickOutcome,
+    AdmitError, Daemon, FailKind, JobResult, JobSpec, JobState, ServeConfig, ServeError,
+    TickOutcome,
 };
 use std::path::PathBuf;
 
@@ -79,14 +80,38 @@ fn admission_rejections_are_typed_and_counted() {
     zero_epochs.train_epochs = Some(0);
     assert!(matches!(daemon.submit(zero_epochs), Err(AdmitError::InvalidSpec { .. })));
 
+    let mut zero_slice = small_job("zs", 0);
+    zero_slice.slice_records = Some(0);
+    assert!(matches!(daemon.submit(zero_slice), Err(AdmitError::InvalidSpec { .. })));
+
     let mut path_id = small_job("../escape", 0);
     path_id.id = "../escape".into();
     assert!(matches!(daemon.submit(path_id), Err(AdmitError::InvalidSpec { .. })));
 
-    assert_eq!(daemon.stats().rejected, 6);
+    assert_eq!(daemon.stats().rejected, 7);
     assert_eq!(daemon.stats().admitted, 1);
     assert_eq!(daemon.verify_conservation(), None);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn open_refuses_a_zero_setting_before_creating_state() {
+    let dir = scratch("zero-config");
+    let zeroed: [fn(&mut ServeConfig); 4] = [
+        |c| c.queue_depth = 0,
+        |c| c.slice_records = 0,
+        |c| c.checkpoint_every = 0,
+        |c| c.tenant_weights = vec![("a".into(), 2), ("b".into(), 0)],
+    ];
+    let settings = ["queue_depth", "slice_records", "checkpoint_every", "tenant \"b\""];
+    for (zero, setting) in zeroed.iter().zip(settings) {
+        let mut config = ServeConfig::new(&dir);
+        zero(&mut config);
+        let err = Daemon::open(config).err().expect("a zero setting must not open");
+        let named = matches!(&err, ServeError::InvalidConfig { detail } if detail.contains(setting));
+        assert!(named, "{setting}: {err}");
+        assert!(!dir.exists(), "{setting} created the state directory");
+    }
 }
 
 #[test]
@@ -344,18 +369,35 @@ fn served(state: &std::path::Path, spool: &std::path::Path) -> std::process::Com
 fn malformed_numeric_flag_exits_1_before_creating_state() {
     let spool = scratch("bad-flag-spool");
     let state = scratch("bad-flag-state");
-    let output = served(&state, &spool)
-        .args(["--tenant-budget", "abc"])
-        .stderr(std::process::Stdio::piped())
-        .output()
-        .expect("spawn daemon");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "--tenant-budget abc:\n{stderr}");
-    assert!(
-        stderr.contains("--tenant-budget expects an unsigned integer, got \"abc\""),
-        "the message must name the bad value:\n{stderr}"
-    );
-    assert!(!state.exists(), "--tenant-budget abc created the state directory");
+    // A malformed `ELIVAGAR_THREADS` would fail every slice of every
+    // spooled job, so it must stop the daemon before any job is admitted.
+    write_spool(&spool);
+    for (threads, args, message) in [
+        (
+            None,
+            &["--tenant-budget", "abc"][..],
+            "--tenant-budget expects an unsigned integer, got \"abc\"",
+        ),
+        (None, &["--queue-depth", "0"], "--queue-depth must be >= 1"),
+        (None, &["--slice-records", "0"], "--slice-records must be >= 1"),
+        (None, &["--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+        (None, &["--tenant-weight", "tenant-0=0"], "--tenant-weight must be >= 1"),
+        (Some("tow"), &[], "ELIVAGAR_THREADS=\"tow\" is not a thread count"),
+        (Some("0"), &[], "ELIVAGAR_THREADS=\"0\" is not a thread count"),
+    ] {
+        // Not `served()`: its own `--slice-records` would shadow the case's.
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_elivagar-served"));
+        cmd.arg("--state").arg(&state).arg("--spool").arg(&spool).args(args);
+        if let Some(threads) = threads {
+            cmd.env(elivagar_sim::THREADS_ENV, threads);
+        }
+        let output = cmd.output().expect("spawn daemon");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{threads:?} {args:?}:\n{stderr}");
+        assert!(stderr.contains(message), "{threads:?} {args:?} must say why:\n{stderr}");
+        assert!(!state.exists(), "{threads:?} {args:?} created the state directory");
+    }
+    std::fs::remove_dir_all(&spool).unwrap();
 }
 
 #[test]

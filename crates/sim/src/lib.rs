@@ -99,7 +99,7 @@ pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};
 pub use density::DensityMatrix;
 pub use noise::{CircuitNoise, DampingError, InstructionNoise, PauliError, ReadoutError};
 pub use parallel::TaskPanic;
-pub use runtime::{num_threads, panic_message, TaskSeeds, THREADS_ENV};
+pub use runtime::{num_threads, panic_message, threads_from_env, TaskSeeds, THREADS_ENV};
 pub use sampling::{counts_to_distribution, fidelity, pairwise_tvd_into, tvd};
 pub use stabilizer::{CliffordOp, Tableau};
 pub use statevector::{SimError, StateVector};

@@ -12,9 +12,9 @@
 //!
 //! * **One pool per process.** Built on first use; worker threads are
 //!   daemons that live for the process lifetime. The pool size is
-//!   `ELIVAGAR_THREADS` when set (minimum 1, where 1 means fully
-//!   sequential execution on the calling thread with no pool traffic),
-//!   otherwise [`std::thread::available_parallelism`].
+//!   `ELIVAGAR_THREADS` when set (a positive integer, where 1 means fully
+//!   sequential execution on the calling thread with no pool traffic; any
+//!   other value panics), otherwise [`std::thread::available_parallelism`].
 //! * **Chunked per-worker deques with stealing.** A parallel region over
 //!   `n` index-addressed tasks splits `0..n` into one contiguous range
 //!   per participant (each worker plus the submitting thread). Each
@@ -45,7 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Environment variable overriding the pool size (total execution
-/// threads, including the submitting thread; minimum 1).
+/// threads, including the submitting thread): a positive integer. Any
+/// other value panics when the pool starts; [`threads_from_env`] checks
+/// it without starting the pool.
 pub const THREADS_ENV: &str = "ELIVAGAR_THREADS";
 
 // ---- packed work ranges ----------------------------------------------------
@@ -216,21 +218,42 @@ struct Pool {
     workers: usize,
 }
 
-fn configured_threads() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+/// The pool size `ELIVAGAR_THREADS` asks for: `None` when unset, a
+/// positive integer (surrounding whitespace ignored) when set.
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = value else {
+        return Ok(None);
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("{THREADS_ENV}={v:?} is not a thread count; use a positive integer")),
     }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+}
+
+/// The pool size `ELIVAGAR_THREADS` asks for, read without starting the
+/// pool: its positive integer, or [`std::thread::available_parallelism`]
+/// when it is unset. A front end that keeps durable state calls this
+/// before creating any, because a pool that fails to start inside a
+/// caught slice would fail every job instead of stopping the process.
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set to anything but a
+/// positive integer.
+pub fn threads_from_env() -> Result<usize, String> {
+    let value = std::env::var_os(THREADS_ENV).map(|v| v.to_string_lossy().into_owned());
+    Ok(parse_threads(value.as_deref())?.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    }))
 }
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = configured_threads() - 1;
+        // A mistyped `ELIVAGAR_THREADS` must never run at another size.
+        let workers = threads_from_env().unwrap_or_else(|e| panic!("{e}")) - 1;
         let shared = Arc::new(Shared {
             jobs: Mutex::new(Vec::new()),
             work_signal: Condvar::new(),
@@ -269,6 +292,10 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
 
 /// Number of execution threads the runtime uses for parallel regions
 /// (including the submitting thread). Initializes the pool on first call.
+///
+/// # Panics
+///
+/// On the first call, if [`threads_from_env`] rejects `ELIVAGAR_THREADS`.
 pub fn num_threads() -> usize {
     pool().workers + 1
 }
@@ -425,6 +452,17 @@ impl TaskSeeds {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn thread_count_is_unset_or_a_positive_integer() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads(Some(" 4 ")), Ok(Some(4)));
+        for bad in ["0", "", "tow", "2.5", "-1"] {
+            let err = parse_threads(Some(bad)).expect_err(bad);
+            assert!(err.contains(THREADS_ENV) && err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn par_index_visits_every_index_once() {

@@ -38,8 +38,9 @@
 //! prints the selected circuit as OpenQASM with the trained angles bound
 //! to the first test sample. Numeric flags are checked before any work
 //! starts: a malformed or out-of-range value (`--priority 300`, `--params
-//! 0`, `--population 1`) exits 1 with a message. `--epochs` must be at
-//! least 1, for `search` and `submit` alike. `--checkpoint` journals
+//! 0`, `--population 1`) exits 1 with a message. `--candidates`,
+//! `--params`, `--epochs`, `--train-batch` and `submit --slice-records`
+//! must be at least 1 and `--population` at least 2. `--checkpoint` journals
 //! completed candidate evaluations so an interrupted run can be picked up
 //! with `--resume` (which implies checkpointing to the same file); the
 //! resumed search reproduces the uninterrupted ranking bit for bit.
@@ -63,38 +64,10 @@ use elivagar_circuit::to_qasm;
 use elivagar_datasets::{load_sized, spec, BENCHMARKS};
 use elivagar_device::{all_devices, circuit_noise, device_by_name};
 use elivagar_ml::{accuracy, noisy_accuracy, QuantumClassifier, TrainConfig};
+use elivagar_serve::flags::{flag_value, parse_flag};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::num::{IntErrorKind, ParseIntError};
 use std::process::ExitCode;
-use std::str::FromStr;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses an unsigned-integer flag into `T`: `Ok(None)` when absent, and a
-/// message plus exit code 1 when present but malformed or too large for
-/// `T`, never a silently wrapped value.
-fn parse_flag<T: FromStr<Err = ParseIntError>>(
-    args: &[String],
-    name: &str,
-) -> Result<Option<T>, ExitCode> {
-    let Some(v) = flag_value(args, name) else {
-        return Ok(None);
-    };
-    v.parse().map(Some).map_err(|e: ParseIntError| {
-        if *e.kind() == IntErrorKind::PosOverflow {
-            eprintln!("{name} is out of range, got {v:?}");
-        } else {
-            eprintln!("{name} expects an unsigned integer, got {v:?}");
-        }
-        ExitCode::FAILURE
-    })
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -151,38 +124,30 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             // Every numeric flag is validated before any work starts.
-            let parse = |name: &str, default: usize| -> Result<usize, ExitCode> {
-                Ok(parse_flag(&args, name)?.unwrap_or(default))
+            let parse = |name: &str, default: usize, min: usize| -> Result<usize, String> {
+                Ok(parse_flag(&args, name, min)?.unwrap_or(default))
             };
             let nsga2 = Nsga2Config::default();
             let numbers = (|| {
-                Ok::<_, ExitCode>([
-                    parse("--candidates", 24)?,
-                    parse("--params", bench.params)?,
-                    parse("--epochs", 60)?,
-                    parse("--seed", 0)?,
-                    parse("--population", nsga2.population)?,
-                    parse("--generations", nsga2.generations)?,
-                    parse("--train-batch", 1)?,
-                    parse("--train-topk", 0)?,
+                Ok::<_, String>([
+                    parse("--candidates", 24, 1)?,
+                    parse("--params", bench.params, 1)?,
+                    parse("--epochs", 60, 1)?,
+                    parse("--seed", 0, 0)?,
+                    parse("--population", nsga2.population, 2)?,
+                    parse("--generations", nsga2.generations, 0)?,
+                    parse("--train-batch", 1, 1)?,
+                    parse("--train-topk", 0, 0)?,
                 ])
             })();
             let [candidates, params, epochs, seed, population, generations, cohort, rungs] =
                 match numbers {
                     Ok(numbers) => numbers,
-                    Err(code) => return code,
+                    Err(message) => {
+                        eprintln!("{message}");
+                        return ExitCode::FAILURE;
+                    }
                 };
-            for (name, value, min) in [
-                ("--candidates", candidates, 1),
-                ("--params", params, 1),
-                ("--epochs", epochs, 1),
-                ("--population", population, 2),
-            ] {
-                if value < min {
-                    eprintln!("{name} must be >= {min}");
-                    return ExitCode::FAILURE;
-                }
-            }
             let seed = seed as u64;
 
             let dataset = load_sized(&bench_name, seed, 400.min(bench.train), 120.min(bench.test));
@@ -213,7 +178,7 @@ fn main() -> ExitCode {
                 epochs,
                 batch_size: 32,
                 seed,
-                cohort: cohort.max(1),
+                cohort,
                 halving_rungs: rungs,
                 ..Default::default()
             });
@@ -397,27 +362,20 @@ fn main() -> ExitCode {
             // device reuse each other's CNR/RepCap evaluations.
             job.cache_dir = flag_value(&args, "--cache-dir");
             let fields = (|| {
-                job.priority = parse_flag(&args, "--priority")?.unwrap_or(0);
-                job.candidates = parse_flag(&args, "--candidates")?.unwrap_or(4);
-                job.seed = parse_flag(&args, "--seed")?.unwrap_or(0);
-                job.train_size = parse_flag(&args, "--train-size")?.unwrap_or(24);
-                job.test_size = parse_flag(&args, "--test-size")?.unwrap_or(8);
-                job.train_epochs = parse_flag(&args, "--epochs")?;
-                job.slice_records = parse_flag(&args, "--slice-records")?;
-                job.deadline_slices = parse_flag(&args, "--deadline-slices")?;
-                job.deadline_ms = parse_flag(&args, "--deadline-ms")?;
-                job.max_retries = parse_flag(&args, "--max-retries")?;
-                Ok(())
+                job.priority = parse_flag(&args, "--priority", 0)?.unwrap_or(0);
+                job.candidates = parse_flag(&args, "--candidates", 1)?.unwrap_or(4);
+                job.seed = parse_flag(&args, "--seed", 0)?.unwrap_or(0);
+                job.train_size = parse_flag(&args, "--train-size", 0)?.unwrap_or(24);
+                job.test_size = parse_flag(&args, "--test-size", 0)?.unwrap_or(8);
+                job.train_epochs = parse_flag(&args, "--epochs", 1)?;
+                job.slice_records = parse_flag(&args, "--slice-records", 1)?;
+                job.deadline_slices = parse_flag(&args, "--deadline-slices", 0)?;
+                job.deadline_ms = parse_flag(&args, "--deadline-ms", 0)?;
+                job.max_retries = parse_flag(&args, "--max-retries", 0)?;
+                Ok::<_, String>(())
             })();
-            if let Err(code) = fields {
-                return code;
-            }
-            if job.candidates == 0 {
-                eprintln!("--candidates must be >= 1");
-                return ExitCode::FAILURE;
-            }
-            if job.train_epochs == Some(0) {
-                eprintln!("--epochs must be >= 1");
+            if let Err(message) = fields {
+                eprintln!("{message}");
                 return ExitCode::FAILURE;
             }
             let spool = std::path::Path::new(&spool);

@@ -67,6 +67,7 @@ fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
         ("--candidates", "0", "--candidates must be >= 1".to_string()),
         ("--params", "0", "--params must be >= 1".to_string()),
         ("--population", "1", "--population must be >= 2".to_string()),
+        ("--train-batch", "0", "--train-batch must be >= 1".to_string()),
         ("--seed", huge, format!("--seed is out of range, got {huge:?}")),
     ] {
         let output = search(&["--strategy", "nsga2", flag, value]);
@@ -82,9 +83,13 @@ fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
 
     let spool = std::env::temp_dir().join(format!("elivagar-cli-range-{}", std::process::id()));
     // --priority is a u8 and --max-retries a u32.
-    let submit_cases =
-        [("--priority", "300"), ("--max-retries", "4294967296"), ("--candidates", huge)];
-    for (flag, value) in submit_cases {
+    let submit_cases = [
+        ("--priority", "300", "--priority is out of range, got \"300\"".to_string()),
+        ("--max-retries", "4294967296", "--max-retries is out of range, got \"4294967296\"".into()),
+        ("--candidates", huge, format!("--candidates is out of range, got {huge:?}")),
+        ("--slice-records", "0", "--slice-records must be >= 1".into()),
+    ];
+    for (flag, value, message) in submit_cases {
         let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
             .args(["submit", "--spool"])
             .arg(&spool)
@@ -93,10 +98,7 @@ fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
             .expect("CLI binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "submit {flag} {value}:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} is out of range, got {value:?}")),
-            "submit {flag} {value} must name the bad value:\n{stderr}"
-        );
+        assert!(stderr.contains(&message), "submit {flag} {value} must say why:\n{stderr}");
         assert!(!spool.exists(), "submit {flag} {value} created the spool");
     }
 }
