@@ -7,9 +7,7 @@
 //! once; `scripts/verify.sh` reruns this suite with `ELIVAGAR_THREADS=1`,
 //! `=2` and `=4` (the env is read once at pool startup, so each thread
 //! count is a separate process) and any scheduling-dependent reduction
-//! would break at least one of the hardcoded bit patterns. It also runs
-//! the suite once with telemetry compiled out (`--no-default-features`),
-//! which no result, the candidate funnel included, may depend on.
+//! would break at least one of the hardcoded bit patterns.
 //!
 //! The gradient and RepCap goldens predate the work-stealing runtime and
 //! pin those paths to the original sequential implementation exactly. The
@@ -425,6 +423,21 @@ fn search_funnel_counters_are_thread_count_invariant() {
     );
     assert_eq!(funnel.repcap_quarantined, 0, "repcap quarantined");
     assert_eq!(funnel.score_quarantined, 0, "score quarantined");
+
+    // Wall time and stage timings are always recorded. Stage counts are
+    // deltas of process-global histograms, which other tests in this
+    // binary can inflate, so they get lower bounds only: one CNR
+    // evaluation per routed candidate, one RepCap evaluation per survivor.
+    let stats = &result.stats;
+    assert!(stats.wall_ns > 0, "wall_ns");
+    let stage_count =
+        |name| stats.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+    assert!(stage_count("cnr_eval") >= funnel.routed, "cnr_eval stage: {:?}", stats.stages);
+    assert!(
+        stage_count("repcap_eval") >= funnel.cnr_accepted,
+        "repcap_eval stage: {:?}",
+        stats.stages
+    );
 }
 
 /// Golden CNR-stage funnel of [`golden_search_task`]:

@@ -10,8 +10,6 @@
 //! Lives in its own test binary because span tracing is process-global
 //! state; a single `#[test]` keeps the recording window unshared.
 
-#![cfg(feature = "telemetry")]
-
 use elivagar::config::SearchConfig;
 use elivagar::search;
 use elivagar_datasets::moons;

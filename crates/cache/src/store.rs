@@ -447,11 +447,9 @@ mod tests {
         let c = |name| delta.counter(name);
         assert_eq!(c("cache.lookups"), c("cache.hits") + c("cache.misses"));
         assert!(c("cache.misses") >= c("cache.stores"));
-        if cfg!(feature = "telemetry") {
-            assert_eq!(c("cache.hits"), 8);
-            assert_eq!(c("cache.misses"), 8);
-            assert_eq!(c("cache.stores"), 8);
-        }
+        assert_eq!(c("cache.hits"), 8);
+        assert_eq!(c("cache.misses"), 8);
+        assert_eq!(c("cache.stores"), 8);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -350,10 +350,10 @@ pub struct SearchResult {
     /// training failed appear in [`SearchResult::quarantined`] at
     /// [`SearchStage::Train`] instead.
     pub trained: Vec<TrainedCandidate>,
-    /// Telemetry summary: the candidate funnel (run-local, deterministic,
-    /// thread-count invariant, and counted whether or not the `telemetry`
-    /// feature is compiled in) plus per-stage timing and counters, which
-    /// are all zeros when it is compiled out.
+    /// Telemetry summary: the candidate funnel (run-local, deterministic
+    /// and thread-count invariant) plus the run's wall time and per-stage
+    /// timing and counters (deltas of process-global metrics, so another
+    /// search running in the same process inflates them).
     pub stats: elivagar_obs::RunStats,
 }
 

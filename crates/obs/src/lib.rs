@@ -13,8 +13,7 @@
 //!   allocations** in the steady state; allocation happens only when a
 //!   full buffer is flushed or the collector drains.
 //! * [`metrics`] — typed counters and fixed-bucket latency histograms
-//!   (lock-free relaxed atomics), always live when the `telemetry`
-//!   feature is on.
+//!   (lock-free relaxed atomics), always live.
 //! * Sinks — a human-readable end-of-run report
 //!   ([`stats::render_process_report`], [`RunStats::render`]), a JSONL
 //!   Chrome Trace Event export loadable in `chrome://tracing`
@@ -23,16 +22,10 @@
 //!
 //! # Gating
 //!
-//! Two independent switches keep the production hot path honest:
-//!
-//! 1. **Compile time** — the `telemetry` cargo feature (default on).
-//!    Without it, every recording call inlines to nothing; the
-//!    overhead-regression pass in `scripts/verify.sh` compares the two
-//!    builds and fails on > 5% drift.
-//! 2. **Run time** — span recording is additionally behind
-//!    [`set_tracing`] (off by default) because spans have a memory cost;
-//!    counters and histograms are single relaxed atomic operations and
-//!    stay on whenever the feature is compiled in.
+//! Counters and histograms are single relaxed atomic operations and are
+//! always live. Span recording is behind the run-time switch
+//! [`set_tracing`] (off by default) because spans have a memory cost;
+//! `--trace-out` and perfbench's traced replay switch it on.
 //!
 //! Counting-allocator tests (`tests/zero_alloc.rs`) pin the contract:
 //! with tracing disabled the recording paths never touch the heap, and
@@ -47,39 +40,21 @@ pub use trace::{
     drain, validate_forest, write_chrome_trace, Event, EventKind, ForestSummary, SpanGuard,
 };
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-#[cfg(feature = "telemetry")]
 static TRACING: AtomicBool = AtomicBool::new(false);
 
-/// Whether span recording is compiled in *and* switched on.
+/// Whether span recording is switched on.
 #[inline]
 pub fn tracing_enabled() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        TRACING.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        false
-    }
+    TRACING.load(Ordering::Relaxed)
 }
 
-/// Switches span recording on or off at runtime. A no-op when the
-/// `telemetry` feature is compiled out.
+/// Switches span recording on or off at runtime.
 pub fn set_tracing(on: bool) {
-    #[cfg(feature = "telemetry")]
     TRACING.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = on;
-}
-
-/// Whether the `telemetry` feature was compiled in.
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "telemetry")
 }
 
 /// Nanoseconds since the process telemetry epoch (the first call). All
@@ -120,7 +95,6 @@ mod tests {
         assert!(b >= a);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn tracing_toggle_round_trips() {
         let _g = trace::testutil::lock();
@@ -128,13 +102,5 @@ mod tests {
         assert!(tracing_enabled());
         set_tracing(false);
         assert!(!tracing_enabled());
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn tracing_cannot_be_enabled_without_the_feature() {
-        set_tracing(true);
-        assert!(!tracing_enabled());
-        assert!(!compiled_in());
     }
 }

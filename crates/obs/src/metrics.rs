@@ -2,11 +2,9 @@
 //! relaxed atomics: recording is lock-free, allocation-free, and safe
 //! from any thread (including pool workers mid-region).
 //!
-//! Counters and histograms stay live whenever the `telemetry` feature is
-//! compiled in — unlike spans they cost one atomic RMW per record, cheap
-//! against the millisecond-scale evaluations they measure. With the
-//! feature compiled out every method inlines to nothing and reads return
-//! zero.
+//! Counters and histograms are always live — unlike spans they cost one
+//! atomic RMW per record, cheap against the millisecond-scale evaluations
+//! they measure.
 //!
 //! Histograms use 64 power-of-two buckets (bucket *b* holds values whose
 //! bit length is *b*), so a nanosecond-scaled observation spans the full
@@ -26,22 +24,15 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Adds `n`. A no-op when `telemetry` is compiled out.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
         self.0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
     }
 
-    /// Current value (zero when `telemetry` is compiled out).
+    /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -91,16 +82,11 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. A no-op when `telemetry` is compiled out.
+    /// Records one observation.
     #[inline]
     pub fn observe(&self, value: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = value;
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the bucket counts and sum.
@@ -113,13 +99,6 @@ impl Histogram {
             counts,
             sum: self.sum.load(Ordering::Relaxed),
         }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -327,11 +306,9 @@ histograms! {
 }
 
 /// A started wall-clock measurement; [`Stopwatch::record`] files the
-/// elapsed nanoseconds into a histogram. Compiles to nothing without the
-/// `telemetry` feature.
+/// elapsed nanoseconds into a histogram.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
-    #[cfg(feature = "telemetry")]
     start_ns: u64,
 }
 
@@ -340,31 +317,20 @@ impl Stopwatch {
     #[inline]
     pub fn start() -> Self {
         Stopwatch {
-            #[cfg(feature = "telemetry")]
             start_ns: crate::now_ns(),
         }
     }
 
-    /// Nanoseconds since [`Stopwatch::start`] (zero without `telemetry`).
+    /// Nanoseconds since [`Stopwatch::start`].
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            crate::now_ns().saturating_sub(self.start_ns)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
+        crate::now_ns().saturating_sub(self.start_ns)
     }
 
     /// Records the elapsed time into `histogram`.
     #[inline]
     pub fn record(self, histogram: &Histogram) {
-        #[cfg(feature = "telemetry")]
         histogram.observe(self.elapsed_ns());
-        #[cfg(not(feature = "telemetry"))]
-        let _ = histogram;
     }
 }
 
@@ -427,19 +393,7 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Zeroes every registered counter and histogram. For test isolation and
-/// CLI run boundaries; concurrent recorders see a clean slate, not torn
-/// state (each cell is an independent atomic).
-pub fn reset() {
-    for (_, c) in COUNTERS {
-        c.reset();
-    }
-    for (_, h) in HISTOGRAMS {
-        h.reset();
-    }
-}
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -392,7 +392,7 @@ pub(crate) mod testutil {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -10,8 +10,6 @@
 //! records serializes on a file-local lock (each integration test file is
 //! its own process, so this lock covers everything that can interleave).
 
-#![cfg(feature = "telemetry")]
-
 use elivagar_obs::metrics::{bucket_index, bucket_upper_bound, Histogram};
 use elivagar_obs::{drain, set_tracing, validate_forest};
 use proptest::prelude::*;

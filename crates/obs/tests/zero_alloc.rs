@@ -90,7 +90,6 @@ fn disabled_telemetry_recording_never_allocates() {
     assert!(drain().is_empty(), "disabled tracing must record nothing");
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn enabled_tracing_allocates_only_at_drain_time() {
     let _g = lock();

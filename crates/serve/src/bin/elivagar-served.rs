@@ -16,11 +16,12 @@
 //!                 [--tenant-weight NAME=W]... [--max-ticks N] [--quiet]
 //! ```
 //!
-//! Numeric flags are checked before the state directory is created: a
-//! malformed or out-of-range value, or zero for `--queue-depth`,
-//! `--slice-records`, `--checkpoint-every` or a `--tenant-weight`, exits 1
-//! with a message. So does a malformed `ELIVAGAR_THREADS`, which
-//! `Daemon::open` refuses before it creates anything.
+//! Flags are checked before the state directory is created: a flag given
+//! without a value, a malformed or out-of-range number, or zero for
+//! `--queue-depth`, `--slice-records`, `--checkpoint-every` or a
+//! `--tenant-weight`, exits 1 with a message. So does a malformed
+//! `ELIVAGAR_THREADS`, which `Daemon::open` refuses before it creates
+//! anything.
 
 use elivagar_serve::flags::{flag_value, flag_values, parse_flag, parse_number};
 use elivagar_serve::{AdmitError, Daemon, JobSpec, JobState, ServeConfig};
@@ -55,7 +56,7 @@ struct StatsFile {
     p50_job_latency_ns: u64,
     p99_job_latency_ns: u64,
     // Result-cache traffic across every slice this process ran (all zero
-    // when no job names a `cache_dir` or telemetry is compiled out).
+    // when no job names a `cache_dir`).
     cache_lookups: u64,
     cache_hits: u64,
     cache_misses: u64,
@@ -67,15 +68,21 @@ struct StatsFile {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(state_dir) = flag_value(&args, "--state") else {
-        return usage();
+    let state_dir = match flag_value(&args, "--state") {
+        Ok(Some(dir)) => dir,
+        Ok(None) => return usage(),
+        Err(message) => {
+            eprintln!("{message}");
+            return usage();
+        }
     };
     let quiet = args.iter().any(|a| a == "--quiet");
 
-    // Every numeric flag is validated before the state directory exists.
+    // Every flag is validated before the state directory exists.
     let mut config = ServeConfig::new(&state_dir);
     let mut max_ticks = 100_000;
-    let numbers = (|| {
+    let mut spool = None;
+    let flags = (|| {
         let c = &mut config;
         c.queue_depth = parse_flag(&args, "--queue-depth", 1)?.unwrap_or(c.queue_depth);
         c.slice_records = parse_flag(&args, "--slice-records", 1)?.unwrap_or(c.slice_records);
@@ -85,16 +92,17 @@ fn main() -> ExitCode {
             parse_flag(&args, "--checkpoint-every", 1)?.unwrap_or(c.checkpoint_every);
         c.tenant_record_budget = parse_flag(&args, "--tenant-budget", 0)?;
         max_ticks = parse_flag(&args, "--max-ticks", 0)?.unwrap_or(max_ticks);
-        for entry in flag_values(&args, "--tenant-weight") {
+        for entry in flag_values(&args, "--tenant-weight")? {
             let Some((name, weight)) = entry.split_once('=') else {
                 return Err(format!("--tenant-weight expects NAME=WEIGHT, got {entry:?}"));
             };
             let weight = parse_number("--tenant-weight", weight, 1)?;
             c.tenant_weights.push((name.to_string(), weight));
         }
+        spool = flag_value(&args, "--spool")?;
         Ok(())
     })();
-    if let Err(message) = numbers {
+    if let Err(message) = flags {
         eprintln!("{message}");
         return usage();
     }
@@ -119,7 +127,7 @@ fn main() -> ExitCode {
     // Spool ingestion: lexicographic file order makes admission (and so
     // scheduling) deterministic for a fixed spool. Known ids are skipped,
     // so respooling after a restart is idempotent.
-    if let Some(spool) = flag_value(&args, "--spool") {
+    if let Some(spool) = spool {
         let mut paths: Vec<_> = match std::fs::read_dir(&spool) {
             Ok(dir) => dir
                 .filter_map(|e| e.ok().map(|e| e.path()))

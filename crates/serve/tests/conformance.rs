@@ -7,8 +7,6 @@
 //! and any other daemon activity in the same process would pollute the
 //! deltas.
 
-#![cfg(feature = "telemetry")]
-
 use elivagar_serve::{AdmitError, Daemon, FailKind, JobSpec, JobState, ServeConfig};
 
 #[test]

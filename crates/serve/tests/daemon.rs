@@ -382,6 +382,9 @@ fn malformed_numeric_flag_exits_1_before_creating_state() {
         (None, &["--slice-records", "0"], "--slice-records must be >= 1"),
         (None, &["--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
         (None, &["--tenant-weight", "tenant-0=0"], "--tenant-weight must be >= 1"),
+        (None, &["--queue-depth"], "--queue-depth expects a value"),
+        (None, &["--max-ticks", "--quiet"], "--max-ticks expects a value"),
+        (None, &["--tenant-weight", "--quiet"], "--tenant-weight expects a value"),
         (Some("tow"), &[], "ELIVAGAR_THREADS=\"tow\" is not a thread count"),
         (Some("0"), &[], "ELIVAGAR_THREADS=\"0\" is not a thread count"),
     ] {
@@ -397,6 +400,28 @@ fn malformed_numeric_flag_exits_1_before_creating_state() {
         assert!(stderr.contains(message), "{threads:?} {args:?} must say why:\n{stderr}");
         assert!(!state.exists(), "{threads:?} {args:?} created the state directory");
     }
+
+    // `--state` and `--spool` without a value must not take the next flag
+    // as a path: run from an empty directory, where such a path would land.
+    let cwd = scratch("bad-flag-cwd");
+    std::fs::create_dir_all(&cwd).unwrap();
+    for (args, flag) in [
+        (&["--state", "--quiet"][..], "--state"),
+        (&["--state", "state", "--spool", "--quiet"], "--spool"),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_elivagar-served"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn daemon");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(&format!("{flag} expects a value")), "{args:?}:\n{stderr}");
+        let left: Vec<_> =
+            std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(left.is_empty(), "{args:?} created {left:?}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
     std::fs::remove_dir_all(&spool).unwrap();
 }
 

@@ -36,9 +36,10 @@
 //!
 //! `search` runs the full pipeline (search, train, noisy evaluation) and
 //! prints the selected circuit as OpenQASM with the trained angles bound
-//! to the first test sample. Numeric flags are checked before any work
-//! starts: a malformed or out-of-range value (`--priority 300`, `--params
-//! 0`, `--population 1`) exits 1 with a message. `--candidates`,
+//! to the first test sample. Flags are checked before any work starts: a
+//! flag given without a value (last, or followed by another `--flag`) or
+//! a malformed or out-of-range number (`--priority 300`, `--params 0`,
+//! `--population 1`) exits 1 with a message. `--candidates`,
 //! `--params`, `--epochs`, `--train-batch` and `submit --slice-records`
 //! must be at least 1 and `--population` at least 2. `--checkpoint` journals
 //! completed candidate evaluations so an interrupted run can be picked up
@@ -69,8 +70,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
+fn usage() -> String {
+    String::from(
         "usage:\n  elivagar-cli search --benchmark <name> --device <name> \
          [--candidates N] [--params N] [--epochs N] [--seed N] \
          [--strategy oneshot|nsga2] [--population N] [--generations N] \
@@ -80,13 +81,23 @@ fn usage() -> ExitCode {
          [--tenant NAME] [--priority N] [--candidates N] [--seed N] \
          [--train-size N] [--test-size N] [--epochs N] [--slice-records N] \
          [--deadline-slices N] [--deadline-ms N] [--max-retries N] [--cache-dir DIR]\n  \
-         elivagar-cli devices\n  elivagar-cli benchmarks"
-    );
-    ExitCode::FAILURE
+         elivagar-cli devices\n  elivagar-cli benchmarks",
+    )
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(std::env::args().skip(1).collect()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs one subcommand; `Err` is the message `main` prints before it
+/// exits 1.
+fn run(args: Vec<String>) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("devices") => {
             for d in all_devices() {
@@ -97,7 +108,6 @@ fn main() -> ExitCode {
                     d.calibration().median_gate2q_error()
                 );
             }
-            ExitCode::SUCCESS
         }
         Some("benchmarks") => {
             for b in BENCHMARKS {
@@ -106,48 +116,37 @@ fn main() -> ExitCode {
                     b.name, b.classes, b.feature_dim, b.params, b.qubits
                 );
             }
-            ExitCode::SUCCESS
         }
         Some("search") => {
-            let Some(bench_name) = flag_value(&args, "--benchmark") else {
-                return usage();
+            let Some(bench_name) = flag_value(&args, "--benchmark")? else {
+                return Err(usage());
             };
-            let Some(device_name) = flag_value(&args, "--device") else {
-                return usage();
+            let Some(device_name) = flag_value(&args, "--device")? else {
+                return Err(usage());
             };
             let Some(bench) = spec(&bench_name) else {
-                eprintln!("unknown benchmark {bench_name}; try `elivagar-cli benchmarks`");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "unknown benchmark {bench_name}; try `elivagar-cli benchmarks`"
+                ));
             };
             let Some(device) = device_by_name(&device_name) else {
-                eprintln!("unknown device {device_name}; try `elivagar-cli devices`");
-                return ExitCode::FAILURE;
+                return Err(format!("unknown device {device_name}; try `elivagar-cli devices`"));
             };
             // Every numeric flag is validated before any work starts.
             let parse = |name: &str, default: usize, min: usize| -> Result<usize, String> {
                 Ok(parse_flag(&args, name, min)?.unwrap_or(default))
             };
             let nsga2 = Nsga2Config::default();
-            let numbers = (|| {
-                Ok::<_, String>([
-                    parse("--candidates", 24, 1)?,
-                    parse("--params", bench.params, 1)?,
-                    parse("--epochs", 60, 1)?,
-                    parse("--seed", 0, 0)?,
-                    parse("--population", nsga2.population, 2)?,
-                    parse("--generations", nsga2.generations, 0)?,
-                    parse("--train-batch", 1, 1)?,
-                    parse("--train-topk", 0, 0)?,
-                ])
-            })();
-            let [candidates, params, epochs, seed, population, generations, cohort, rungs] =
-                match numbers {
-                    Ok(numbers) => numbers,
-                    Err(message) => {
-                        eprintln!("{message}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let [candidates, params, epochs, seed, population, generations, cohort, rungs] = [
+                parse("--candidates", 24, 1)?,
+                parse("--params", bench.params, 1)?,
+                parse("--epochs", 60, 1)?,
+                parse("--seed", 0, 0)?,
+                parse("--population", nsga2.population, 2)?,
+                parse("--generations", nsga2.generations, 0)?,
+                parse("--train-batch", 1, 1)?,
+                parse("--train-topk", 0, 0)?,
+            ];
             let seed = seed as u64;
 
             let dataset = load_sized(&bench_name, seed, 400.min(bench.train), 120.min(bench.test));
@@ -158,7 +157,7 @@ fn main() -> ExitCode {
             config.repcap_param_inits = 8;
             config.repcap_samples_per_class = 8;
             config.seed = seed;
-            match flag_value(&args, "--strategy").as_deref() {
+            match flag_value(&args, "--strategy")?.as_deref() {
                 None | Some("oneshot") => {}
                 Some("nsga2") => {
                     config = config.with_nsga2(
@@ -166,8 +165,7 @@ fn main() -> ExitCode {
                     );
                 }
                 Some(other) => {
-                    eprintln!("unknown strategy {other}; expected oneshot or nsga2");
-                    return ExitCode::FAILURE;
+                    return Err(format!("unknown strategy {other}; expected oneshot or nsga2"));
                 }
             }
 
@@ -184,19 +182,13 @@ fn main() -> ExitCode {
             });
 
             let want_stats = args.iter().any(|a| a == "--stats");
-            let trace_out = flag_value(&args, "--trace-out").map(std::path::PathBuf::from);
+            let trace_out = flag_value(&args, "--trace-out")?.map(std::path::PathBuf::from);
             if trace_out.is_some() {
-                if !elivagar_obs::compiled_in() {
-                    eprintln!(
-                        "warning: --trace-out requested but this binary was built without \
-                         the `telemetry` feature; the trace will be empty"
-                    );
-                }
                 elivagar_obs::set_tracing(true);
             }
 
-            let checkpoint = flag_value(&args, "--checkpoint").map(std::path::PathBuf::from);
-            let resume = flag_value(&args, "--resume").map(std::path::PathBuf::from);
+            let checkpoint = flag_value(&args, "--checkpoint")?.map(std::path::PathBuf::from);
+            let resume = flag_value(&args, "--resume")?.map(std::path::PathBuf::from);
             let mut options = RunOptions::new();
             // --resume without --checkpoint keeps journaling to the
             // same file, so a second interruption is also resumable.
@@ -206,14 +198,10 @@ fn main() -> ExitCode {
             if let Some(path) = resume {
                 options = options.with_resume(path);
             }
-            if let Some(dir) = flag_value(&args, "--cache") {
-                match elivagar::Cache::open(&dir) {
-                    Ok(cache) => options = options.with_cache(cache),
-                    Err(e) => {
-                        eprintln!("failed to open result cache at {dir}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            if let Some(dir) = flag_value(&args, "--cache")? {
+                let cache = elivagar::Cache::open(&dir)
+                    .map_err(|e| format!("failed to open result cache at {dir}: {e}"))?;
+                options = options.with_cache(cache);
             }
 
             match &config.strategy {
@@ -225,13 +213,8 @@ fn main() -> ExitCode {
                 ),
                 _ => eprintln!("searching {candidates} candidates on {} ...", device.name()),
             }
-            let result = match run_search(&device, &dataset, &config, &options) {
-                Ok(result) => result,
-                Err(e) => {
-                    eprintln!("search failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let result = run_search(&device, &dataset, &config, &options)
+                .map_err(|e| format!("search failed: {e}"))?;
             for q in &result.quarantined {
                 eprintln!("warning: {q}");
             }
@@ -266,8 +249,7 @@ fn main() -> ExitCode {
                     .iter()
                     .find(|q| q.index == result.best_index && q.stage == SearchStage::Train)
                     .map_or("no training result", |q| q.reason.as_str());
-                eprintln!("training the selected circuit failed: {reason}");
-                return ExitCode::FAILURE;
+                return Err(format!("training the selected circuit failed: {reason}"));
             };
             if result.trained.len() > 1 {
                 eprintln!(
@@ -312,92 +294,66 @@ fn main() -> ExitCode {
                 if let Err(e) = elivagar_obs::validate_forest(&events) {
                     eprintln!("warning: trace forest is malformed: {e}");
                 }
-                let write = std::fs::File::create(&path).and_then(|mut f| {
-                    elivagar_obs::write_chrome_trace(&events, &mut f)
-                });
-                match write {
-                    Ok(()) => eprintln!(
-                        "wrote {} trace events to {} (load in chrome://tracing)",
-                        events.len(),
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("failed to write trace to {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                std::fs::File::create(&path)
+                    .and_then(|mut f| elivagar_obs::write_chrome_trace(&events, &mut f))
+                    .map_err(|e| format!("failed to write trace to {}: {e}", path.display()))?;
+                eprintln!(
+                    "wrote {} trace events to {} (load in chrome://tracing)",
+                    events.len(),
+                    path.display()
+                );
             }
-            ExitCode::SUCCESS
         }
         Some("submit") => {
-            let Some(spool) = flag_value(&args, "--spool") else {
-                return usage();
+            let Some(spool) = flag_value(&args, "--spool")? else {
+                return Err(usage());
             };
-            let Some(id) = flag_value(&args, "--id") else {
-                return usage();
+            let Some(id) = flag_value(&args, "--id")? else {
+                return Err(usage());
             };
             if id.is_empty() || id.contains(['/', '\\']) {
-                eprintln!("--id must be a plain name (no path separators)");
-                return ExitCode::FAILURE;
+                return Err("--id must be a plain name (no path separators)".into());
             }
             let mut job = elivagar_serve::JobSpec::named(&id);
-            if let Some(name) = flag_value(&args, "--benchmark") {
+            if let Some(name) = flag_value(&args, "--benchmark")? {
                 if spec(&name).is_none() {
-                    eprintln!("unknown benchmark {name}; try `elivagar-cli benchmarks`");
-                    return ExitCode::FAILURE;
+                    return Err(format!("unknown benchmark {name}; try `elivagar-cli benchmarks`"));
                 }
                 job.benchmark = name;
             }
-            if let Some(name) = flag_value(&args, "--device") {
+            if let Some(name) = flag_value(&args, "--device")? {
                 if device_by_name(&name).is_none() {
-                    eprintln!("unknown device {name}; try `elivagar-cli devices`");
-                    return ExitCode::FAILURE;
+                    return Err(format!("unknown device {name}; try `elivagar-cli devices`"));
                 }
                 job.device = name;
             }
-            if let Some(tenant) = flag_value(&args, "--tenant") {
+            if let Some(tenant) = flag_value(&args, "--tenant")? {
                 job.tenant = tenant;
             }
             // A shared cache directory lets tenants searching the same
             // device reuse each other's CNR/RepCap evaluations.
-            job.cache_dir = flag_value(&args, "--cache-dir");
-            let fields = (|| {
-                job.priority = parse_flag(&args, "--priority", 0)?.unwrap_or(0);
-                job.candidates = parse_flag(&args, "--candidates", 1)?.unwrap_or(4);
-                job.seed = parse_flag(&args, "--seed", 0)?.unwrap_or(0);
-                job.train_size = parse_flag(&args, "--train-size", 0)?.unwrap_or(24);
-                job.test_size = parse_flag(&args, "--test-size", 0)?.unwrap_or(8);
-                job.train_epochs = parse_flag(&args, "--epochs", 1)?;
-                job.slice_records = parse_flag(&args, "--slice-records", 1)?;
-                job.deadline_slices = parse_flag(&args, "--deadline-slices", 0)?;
-                job.deadline_ms = parse_flag(&args, "--deadline-ms", 0)?;
-                job.max_retries = parse_flag(&args, "--max-retries", 0)?;
-                Ok::<_, String>(())
-            })();
-            if let Err(message) = fields {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
+            job.cache_dir = flag_value(&args, "--cache-dir")?;
+            job.priority = parse_flag(&args, "--priority", 0)?.unwrap_or(0);
+            job.candidates = parse_flag(&args, "--candidates", 1)?.unwrap_or(4);
+            job.seed = parse_flag(&args, "--seed", 0)?.unwrap_or(0);
+            job.train_size = parse_flag(&args, "--train-size", 0)?.unwrap_or(24);
+            job.test_size = parse_flag(&args, "--test-size", 0)?.unwrap_or(8);
+            job.train_epochs = parse_flag(&args, "--epochs", 1)?;
+            job.slice_records = parse_flag(&args, "--slice-records", 1)?;
+            job.deadline_slices = parse_flag(&args, "--deadline-slices", 0)?;
+            job.deadline_ms = parse_flag(&args, "--deadline-ms", 0)?;
+            job.max_retries = parse_flag(&args, "--max-retries", 0)?;
             let spool = std::path::Path::new(&spool);
-            if let Err(e) = std::fs::create_dir_all(spool) {
-                eprintln!("failed to create spool {}: {e}", spool.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::create_dir_all(spool)
+                .map_err(|e| format!("failed to create spool {}: {e}", spool.display()))?;
             let path = spool.join(format!("{id}.json"));
-            let body = match serde_json::to_string(&job) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("failed to serialize job spec: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = std::fs::write(&path, body + "\n") {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            let body = serde_json::to_string(&job)
+                .map_err(|e| format!("failed to serialize job spec: {e}"))?;
+            std::fs::write(&path, body + "\n")
+                .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
             eprintln!("spooled {id} -> {}", path.display());
-            ExitCode::SUCCESS
         }
-        _ => usage(),
+        _ => return Err(usage()),
     }
+    Ok(())
 }

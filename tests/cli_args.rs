@@ -1,6 +1,6 @@
-//! Numeric flags of `elivagar-cli` are validated up front: a malformed or
-//! out-of-range value is rejected with a message and exit code 1 before
-//! any work starts, never silently replaced by the default.
+//! Flags of `elivagar-cli` are validated up front: a missing, malformed
+//! or out-of-range value is rejected with a message and exit code 1
+//! before any work starts, never silently replaced by the default.
 
 use std::process::Command;
 
@@ -101,4 +101,46 @@ fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
         assert!(stderr.contains(&message), "submit {flag} {value} must say why:\n{stderr}");
         assert!(!spool.exists(), "submit {flag} {value} created the spool");
     }
+}
+
+#[test]
+fn flag_without_a_value_exits_with_code_1_before_any_work() {
+    // Last on the line, or followed by another flag instead of a value.
+    for extra in [&["--strategy"][..], &["--candidates", "--seed", "3"], &["--trace-out"]] {
+        let output = search(extra);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{extra:?}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("{} expects a value", extra[0])),
+            "{extra:?} must name the flag:\n{stderr}"
+        );
+        assert!(!stderr.contains("searching"), "{extra:?} started work:\n{stderr}");
+        assert!(output.stdout.is_empty(), "{extra:?} printed QASM");
+    }
+
+    // Run from an empty directory, so a flag taken as a path would show
+    // up there.
+    let cwd = std::env::temp_dir().join(format!("elivagar-cli-novalue-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    for (args, flag) in [
+        (&["--spool", "spool", "--id", "x", "--priority"][..], "--priority"),
+        (&["--spool", "spool", "--id", "x", "--seed", "--tenant", "t"], "--seed"),
+        (&["--spool", "--id", "z"], "--spool"),
+        (&["--spool", "spool", "--id", "--tenant", "t"], "--id"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
+            .arg("submit")
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "submit {args:?}:\n{stderr}");
+        assert!(stderr.contains(&format!("{flag} expects a value")), "submit {args:?}:\n{stderr}");
+        let left: Vec<_> =
+            std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(left.is_empty(), "submit {args:?} created {left:?}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
 }
