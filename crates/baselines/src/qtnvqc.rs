@@ -9,9 +9,11 @@
 //! gradients* to flow loss into the classical factors.
 
 use elivagar_datasets::Split;
-use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
+use elivagar_ml::{cross_entropy, noisy_accuracy_with, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{
+    noisy_distribution_seeded, AdjointBinding, AdjointProgram, Gradients, ZObservable,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,6 +183,7 @@ pub fn train_qtn_vqc(
     let mut opt = Adam::new(params.len() + layer.num_params(), config.learning_rate);
     // Full compile: the angle (feature) gradients feed the classical layer.
     let adjoint = AdjointProgram::compile(model.circuit());
+    let mut binding = AdjointBinding::default();
     let mut obs = ZObservable::new(Vec::new());
     let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
 
@@ -192,6 +195,8 @@ pub fn train_qtn_vqc(
             order.swap(i, j);
         }
         for chunk in order.chunks(config.batch_size) {
+            // The circuit parameters stay fixed for the minibatch.
+            adjoint.bind_into(&params, &mut binding);
             let mut grad = vec![0.0; params.len() + layer.num_params()];
             for &i in chunk {
                 let x = &data.features[i];
@@ -199,7 +204,7 @@ pub fn train_qtn_vqc(
                 let (z, pre, angles) = layer.forward_full(x);
                 // The loss comes from the adjoint's own forward sweep.
                 adjoint.run_adjoint_with(
-                    &params,
+                    &binding,
                     &angles,
                     &mut obs,
                     |psi, obs| {
@@ -256,7 +261,9 @@ pub fn qtn_vqc_accuracy(model: &QuantumClassifier, qtn: &QtnVqcModel, data: &Spl
     correct as f64 / data.len() as f64
 }
 
-/// Noisy-inference accuracy of a QTN-VQC model.
+/// Noisy-inference accuracy of a QTN-VQC model. Samples fan out across
+/// the pool through [`noisy_accuracy_with`], with `rng` drawn once per
+/// sample in sample order.
 pub fn qtn_vqc_noisy_accuracy<R: Rng + ?Sized>(
     model: &QuantumClassifier,
     qtn: &QtnVqcModel,
@@ -265,24 +272,12 @@ pub fn qtn_vqc_noisy_accuracy<R: Rng + ?Sized>(
     trajectories: usize,
     rng: &mut R,
 ) -> f64 {
-    let correct = data
-        .features
-        .iter()
-        .zip(&data.labels)
-        .filter(|(x, &y)| {
-            let angles = qtn.layer.forward(x);
-            let dist = noisy_distribution(
-                model.circuit(),
-                &qtn.params,
-                &angles,
-                noise,
-                trajectories,
-                rng,
-            );
-            model.predict_from_distribution(&dist) == y
-        })
-        .count();
-    correct as f64 / data.len() as f64
+    noisy_accuracy_with(data, rng, |x, seeds| {
+        let angles = qtn.layer.forward(x);
+        let (circuit, params) = (model.circuit(), &qtn.params);
+        let dist = noisy_distribution_seeded(circuit, params, &angles, noise, trajectories, seeds);
+        model.predict_from_distribution(&dist)
+    })
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //! under hardware noise.
 
 use elivagar_datasets::Split;
-use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
+use elivagar_ml::{cross_entropy, noisy_accuracy_with, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{
+    noisy_distribution_seeded, AdjointBinding, AdjointProgram, Gradients, ZObservable,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,6 +89,7 @@ pub fn train_quantumnat(
     let mut opt = Adam::new(params.len(), config.learning_rate);
     // Training reads only parameter gradients, so feature slots are skipped.
     let adjoint = AdjointProgram::compile_params_only(model.circuit());
+    let mut binding = AdjointBinding::default();
     let mut obs = ZObservable::new(Vec::new());
     let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
 
@@ -98,6 +101,8 @@ pub fn train_quantumnat(
             order.swap(i, j);
         }
         for chunk in order.chunks(config.batch_size) {
+            // The parameters stay fixed for the minibatch: bind them once.
+            adjoint.bind_into(&params, &mut binding);
             let mut grad = vec![0.0; params.len()];
             for &i in chunk {
                 let y = data.labels[i];
@@ -106,7 +111,7 @@ pub fn train_quantumnat(
                 // (additive, so the backward path through the circuit is
                 // unchanged) and rebuilds the observable from the loss.
                 adjoint.run_adjoint_with(
-                    &params,
+                    &binding,
                     &data.features[i],
                     &mut obs,
                     |psi, obs| {
@@ -152,7 +157,9 @@ pub fn train_quantumnat(
 }
 
 /// Noisy-inference accuracy with QuantumNAT normalization applied to the
-/// logits before argmax.
+/// logits before argmax. Samples fan out across the pool through
+/// [`noisy_accuracy_with`], with `rng` drawn once per sample in sample
+/// order.
 pub fn quantumnat_noisy_accuracy<R: Rng + ?Sized>(
     model: &QuantumClassifier,
     nat: &QuantumNatModel,
@@ -161,19 +168,13 @@ pub fn quantumnat_noisy_accuracy<R: Rng + ?Sized>(
     trajectories: usize,
     rng: &mut R,
 ) -> f64 {
-    let correct = data
-        .features
-        .iter()
-        .zip(&data.labels)
-        .filter(|(x, &y)| {
-            let dist =
-                noisy_distribution(model.circuit(), &nat.params, x, noise, trajectories, rng);
-            let expectations = model.expectations_from_distribution(&dist);
-            let logits = model.logits_from_expectations(&expectations);
-            elivagar_ml::argmax(&nat.normalize(&logits)) == y
-        })
-        .count();
-    correct as f64 / data.len() as f64
+    noisy_accuracy_with(data, rng, |x, seeds| {
+        let circuit = model.circuit();
+        let dist = noisy_distribution_seeded(circuit, &nat.params, x, noise, trajectories, seeds);
+        let expectations = model.expectations_from_distribution(&dist);
+        let logits = model.logits_from_expectations(&expectations);
+        elivagar_ml::argmax(&nat.normalize(&logits))
+    })
 }
 
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {

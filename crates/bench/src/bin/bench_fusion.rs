@@ -26,6 +26,13 @@
 //! minibatch exactly as the forward-only losses do. Untimed, it asserts
 //! that the mean gradient matches `oracle::adjoint_gradient` to 1e-8.
 //!
+//! An ungated row, `fmnist4_candidate_4q`, times the same pair on a
+//! generated fmnist-4 candidate on `ibm_lagos` (perfbench's
+//! `cohort-fmnist4` circuit shape) and records forward and gradient
+//! nanoseconds per sample and their ratio. At 4 qubits a state holds 16
+//! amplitudes, so per-sample overhead (re-fusion, gate matrices,
+//! dispatch), not amplitude arithmetic, sets that cost.
+//!
 //! Wall times are compared within this one process (same thread count,
 //! same build); per-gate throughput is also recorded because it is
 //! machine-relative but workload-independent.
@@ -57,6 +64,8 @@ struct Report {
     /// The streamed gradient's per-sample losses rank the minibatch
     /// exactly as the forward-only losses do.
     ranking_match: bool,
+    /// The forward/gradient pair on a 4-qubit candidate (not gated).
+    minibatch_4q: PerSample,
 }
 
 #[derive(Serialize)]
@@ -85,6 +94,18 @@ struct Minibatch {
     /// Largest absolute difference between the oracle's and the streamed
     /// mean parameter gradients (ULP-level re-association, not drift).
     max_grad_abs_diff: f64,
+}
+
+#[derive(Serialize)]
+struct PerSample {
+    name: String,
+    qubits: usize,
+    samples: usize,
+    pairs: usize,
+    forward_ns_per_sample: f64,
+    gradient_ns_per_sample: f64,
+    /// Median over the timed pairs of gradient / forward minibatch time.
+    gradient_over_forward: f64,
 }
 
 /// Dense mix: long static 1q runs, CX ladders, dynamic barriers — the
@@ -193,6 +214,29 @@ fn forward_loss(
     })
 }
 
+/// Times a minibatch's forward pass with its losses (`Program::run_with`
+/// per sample, fanned out with `par_map`) against `batch_gradient` over
+/// the same samples, alternately (see [`time_pairs`]).
+fn time_minibatch(
+    model: &QuantumClassifier,
+    params: &[f64],
+    x: &[Vec<f64>],
+    y: &[usize],
+) -> (u64, u64, f64) {
+    let program = model.program();
+    let indices: Vec<usize> = (0..x.len()).collect();
+    time_pairs(
+        || {
+            let losses =
+                par_map(&indices, |&i| forward_loss(model, &program, params, &x[i], y[i]).0);
+            black_box(losses.iter().sum::<f64>());
+        },
+        || {
+            black_box(batch_gradient(model, params, x, y, GradientMethod::Adjoint));
+        },
+    )
+}
+
 fn main() -> ExitCode {
     let n = TILE_QUBITS + 2;
     let dense = dense_circuit(n);
@@ -233,15 +277,30 @@ fn main() -> ExitCode {
     let forward_losses = || {
         par_map(&indices, |&i| forward_loss(&model, &program, &mparams, &x[i], y[i]).0)
     };
+    let (forward_median_ns, gradient_median_ns, gradient_over_forward) =
+        time_minibatch(&model, &mparams, &x, &y);
 
-    let (forward_median_ns, gradient_median_ns, gradient_over_forward) = time_pairs(
-        || {
-            black_box(forward_losses().iter().sum::<f64>());
-        },
-        || {
-            black_box(batch_gradient(&model, &mparams, &x, &y, GradientMethod::Adjoint));
-        },
+    // perfbench's `cohort-fmnist4` circuit shape, 32 samples.
+    let fmnist = elivagar_datasets::spec("fmnist-4").expect("fmnist-4 is a Table 2 benchmark");
+    let fmnist4 = generated_circuit(
+        &elivagar_device::devices::ibm_lagos(),
+        &SearchConfig::for_task(fmnist.qubits, fmnist.params, fmnist.feature_dim, fmnist.classes),
     );
+    let small = QuantumClassifier::new(fmnist4, fmnist.classes);
+    let small_params: Vec<f64> = (0..small.num_params()).map(|i| 0.1 * i as f64).collect();
+    let small_x = feature_batch(32, fmnist.feature_dim);
+    let small_y: Vec<usize> = (0..32).map(|i| i % fmnist.classes).collect();
+    let (small_forward_ns, small_gradient_ns, small_ratio) =
+        time_minibatch(&small, &small_params, &small_x, &small_y);
+    let minibatch_4q = PerSample {
+        name: "fmnist4_candidate_4q".into(),
+        qubits: small.circuit().num_qubits(),
+        samples: small_x.len(),
+        pairs: PAIRS,
+        forward_ns_per_sample: small_forward_ns as f64 / small_x.len() as f64,
+        gradient_ns_per_sample: small_gradient_ns as f64 / small_x.len() as f64,
+        gradient_over_forward: small_ratio,
+    };
 
     // Ranking: per-sample losses from the streamed path (recovered
     // sample-by-sample through single-sample batches) must order the
@@ -304,6 +363,7 @@ fn main() -> ExitCode {
         },
         gradient_over_forward,
         ranking_match,
+        minibatch_4q,
     };
     let bounds = [
         Bound::at_most("gradient_over_forward", report.gradient_over_forward, 7.5),

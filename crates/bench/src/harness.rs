@@ -6,16 +6,19 @@
 //! with the paper's methodology, and evaluated both noiselessly and under
 //! the device noise model.
 
-use elivagar::{cnr, generate_candidate, search, EmbeddingPolicy, SearchConfig, SearchResult};
+use elivagar::{
+    cnr, generate_candidate, repcap, search, EmbeddingPolicy, SearchConfig, SearchResult,
+};
 use elivagar_baselines::{
-    human_baseline_circuits, quantum_nas_search, random_baseline_circuit, supernet_search,
-    QuantumNasConfig, SupernetConfig, SuperTrainConfig,
+    human_baseline_circuits, quantum_nas_search, random_baseline_circuit,
+    subcircuit_validation_loss, supernet_search, train_supercircuit, Entangler, QuantumNasConfig,
+    SuperCircuit, SupernetConfig, SuperTrainConfig,
 };
 use elivagar_circuit::{Circuit, Instruction};
 use elivagar_compiler::{compile, CompileOptions, OptimizationLevel, TwoQubitBasis};
 use elivagar_datasets::{load_sized, spec, BenchmarkSpec, Dataset};
 use elivagar_device::{circuit_noise, Device};
-use elivagar_ml::{accuracy, noisy_accuracy, train, QuantumClassifier, TrainConfig};
+use elivagar_ml::{accuracy, evaluate_loss, noisy_accuracy, train, QuantumClassifier, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -335,6 +338,96 @@ pub fn cnr_vs_fidelity(device: &Device, scale: Scale) -> (Vec<f64>, Vec<f64>) {
         fidelities.push(f);
     }
     (cnrs, fidelities)
+}
+
+/// Fig. 6b's series: per sampled subcircuit of one trained FMNIST-2
+/// SuperCircuit, the loss the SuperCircuit predicts for it, its RepCap,
+/// and its test loss after training from scratch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PredictorSeries {
+    /// Validation loss under the trained SuperCircuit's shared weights.
+    pub supercircuit_loss: Vec<f64>,
+    /// RepCap of the extracted subcircuit (16 inits, 6 bases).
+    pub repcap: Vec<f64>,
+    /// Test loss after standalone training, averaged over two inits.
+    pub trained_loss: Vec<f64>,
+}
+
+/// Fig. 6b's experiment on FMNIST-2 from a fixed seed:
+/// `max(scale.candidates, 24)` subcircuits of one shared SuperCircuit
+/// space, each scored by the trained SuperCircuit and by RepCap, and
+/// trained standalone as ground truth. The ground truth trains for at
+/// least 80 epochs and tests on at least 100 samples. Each circuit's
+/// line (`circuit i: supercircuit_loss=… repcap=… trained_loss=…`) goes
+/// to stdout as it finishes.
+pub fn repcap_vs_supercircuit(scale: Scale) -> PredictorSeries {
+    // Predictor-vs-ground-truth experiments need well-converged ground
+    // truth: train longer and test on more samples than the generic smoke
+    // scale.
+    let mut scale = scale;
+    scale.epochs = scale.epochs.max(80);
+    scale.test_n = scale.test_n.max(100);
+    let bench = spec("fmnist-2").expect("known benchmark");
+    let dataset = load_benchmark("fmnist-2", scale, 0x0F16_0006);
+    let num_circuits = scale.candidates.max(24);
+
+    // One shared SuperCircuit space; candidates are its subcircuits so the
+    // SuperCircuit predictor is applicable to every candidate.
+    // TorchQuantum's binary classifiers measure every qubit (the class
+    // score averages <Z> over all wires); richer marginals also give both
+    // predictors more signal.
+    let space = SuperCircuit::new(bench.qubits, 6, Entangler::Cz, bench.feature_dim, bench.qubits);
+    // The SuperCircuit must be trained properly for its loss predictions to
+    // mean anything — this is exactly the expensive phase Elivagar avoids.
+    let train_cfg = SuperTrainConfig {
+        epochs: scale.epochs,
+        batch_size: 32,
+        ..Default::default()
+    };
+    let trained = train_supercircuit(&space, dataset.train(), 2, &train_cfg);
+
+    let mut repcap_cfg = search_config_for(bench, scale, 1);
+    repcap_cfg.repcap_param_inits = 16;
+    repcap_cfg.repcap_bases = 6;
+    let mut rng = StdRng::seed_from_u64(0x0F16_0006);
+    let mut series = PredictorSeries {
+        supercircuit_loss: Vec::new(),
+        repcap: Vec::new(),
+        trained_loss: Vec::new(),
+    };
+    let (samples, labels) = dataset.sample_per_class(repcap_cfg.repcap_samples_per_class, &mut rng);
+
+    for i in 0..num_circuits {
+        let sub = space.sample_config(&mut rng);
+        let (pred_loss, _) =
+            subcircuit_validation_loss(&space, &sub, &trained.shared, dataset.test(), 2, None);
+        let (circuit, _) = space.extract(&sub, &trained.shared);
+        let rc = repcap(&circuit, &samples, &labels, &repcap_cfg, &mut rng).repcap;
+        // Ground truth: train the standalone circuit from scratch,
+        // averaging two initializations to damp init luck.
+        let model = QuantumClassifier::new(circuit, 2);
+        let mut loss = 0.0;
+        for s in 0..2u64 {
+            let outcome = train(
+                &model,
+                dataset.train(),
+                &TrainConfig {
+                    epochs: scale.epochs,
+                    batch_size: 32,
+                    seed: 2 * i as u64 + s,
+                    ..Default::default()
+                },
+            );
+            loss += evaluate_loss(&model, &outcome.params, dataset.test()) / 2.0;
+        }
+        println!(
+            "circuit {i:2}: supercircuit_loss={pred_loss:.4} repcap={rc:.4} trained_loss={loss:.4}"
+        );
+        series.supercircuit_loss.push(pred_loss);
+        series.repcap.push(rc);
+        series.trained_loss.push(loss);
+    }
+    series
 }
 
 /// Runs the Random baseline (average over `scale.repeats` circuits).

@@ -17,8 +17,9 @@ pub mod timing;
 pub use gate::Bound;
 pub use harness::{
     candidate_fidelity, cnr_vs_fidelity, compact_circuit, evaluate_physical, load_benchmark,
-    print_table, run_elivagar, run_elivagar_ablation, run_human_baseline, run_quantumnas,
-    run_random_baseline, run_supernet, search_config_for, MethodOutcome, Scale,
+    print_table, repcap_vs_supercircuit, run_elivagar, run_elivagar_ablation, run_human_baseline,
+    run_quantumnas, run_random_baseline, run_supernet, search_config_for, MethodOutcome,
+    PredictorSeries, Scale,
 };
 pub use stats::{geometric_mean, mean, pearson, spearman};
 pub use timing::{median, time_ns, time_reps};

@@ -17,7 +17,9 @@
 //! still a loop of its own, before it became a one-member cohort, and pin
 //! the cohort loop to that loop's results. The parameter-shift gradient
 //! golden was captured while `batch_gradient` still had a dispatch of its
-//! own, before it became a one-member cohort dispatch.
+//! own, before it became a one-member cohort dispatch. The noisy-accuracy
+//! golden was captured while `noisy_accuracy` still ran its samples one
+//! after another, before they fanned out across the pool.
 
 use elivagar::config::{Nsga2Config, SearchConfig};
 use elivagar::generate::generate_candidate;
@@ -26,13 +28,13 @@ use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_device::devices::ibm_lagos;
 use elivagar_ml::{
-    batch_gradient, train_cohort, try_train, CohortOutcome, GradientMethod, QuantumClassifier,
-    TrainConfig,
+    batch_gradient, noisy_accuracy, train_cohort, try_train, CohortOutcome, GradientMethod,
+    QuantumClassifier, TrainConfig,
 };
 use elivagar_sim::oracle::noisy_clifford_distribution_tableau;
 use elivagar_sim::{noisy_clifford_distribution, noisy_distribution, CircuitNoise};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Mixed single/two-qubit circuit with feature, trainable, and constant
 /// parameter slots — exercises fusion, the dynamic per-sample path, and
@@ -302,6 +304,27 @@ fn trajectory_distribution_bits_are_thread_count_invariant() {
     for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
         assert_bits(d, bits, &format!("dist[{i}]"));
     }
+}
+
+/// Noisy-inference golden, recorded while `noisy_accuracy` still
+/// evaluated its samples one after another: the golden classifier on the
+/// golden task's 20 test samples, 40 trajectories each (a full
+/// SHOT_CHUNK plus a ragged tail). The accuracy and the caller's
+/// generator afterwards (one draw per sample, in sample order) must land
+/// on these values at every thread count.
+#[test]
+fn noisy_accuracy_bits_are_thread_count_invariant() {
+    const ACCURACY_BITS: u64 = 0x3fe8000000000000;
+    const NEXT_DRAW: u64 = 3_334_026_118_402_929_590;
+    let circuit = golden_circuit();
+    let arities: Vec<usize> = circuit.instructions().iter().map(|i| i.qubits.len()).collect();
+    let noise = CircuitNoise::uniform(&arities, 4, 0.02, 0.08, 0.03);
+    let model = QuantumClassifier::new(circuit, 2);
+    let data = golden_training_data();
+    let mut rng = StdRng::seed_from_u64(29);
+    let acc = noisy_accuracy(&model, &golden_params(), data.test(), &noise, 40, &mut rng);
+    assert_bits(acc, ACCURACY_BITS, "noisy accuracy");
+    assert_eq!(rng.next_u64(), NEXT_DRAW, "generator after the call");
 }
 
 /// Post-runtime golden: stabilizer Monte-Carlo trajectories.

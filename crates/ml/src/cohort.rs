@@ -9,7 +9,8 @@
 //! path compiles every candidate once into an [`AdjointProgram`] and
 //! pushes every still-alive member's minibatch through the work-stealing
 //! pool as one fused batch of `(member, sample)` items
-//! ([`crate::gradient::cohort_batch_gradients`]).
+//! ([`crate::gradient::cohort_batch_gradients`]), which binds each
+//! member's gate matrices once per minibatch step.
 //!
 //! # Determinism
 //!
@@ -46,7 +47,7 @@
 //! members, 16 epochs, and 4 rungs this trains 48 member-epochs instead
 //! of 256.
 
-use crate::gradient::{cohort_batch_gradients, MultiItem};
+use crate::gradient::{cohort_batch_gradients, CohortBatch, MultiItem};
 use crate::model::QuantumClassifier;
 use crate::optim::Adam;
 use crate::train::{init_params, TrainConfig, TrainError, TrainOutcome};
@@ -300,13 +301,11 @@ impl Cohort<'_> {
         // counter below, so a retry sees fresh draws.
         let key_base = (attempt as u64) << 48;
 
-        // Recycled across the whole round: fused work items, the gradient
-        // arena, per-item (loss, executions) results, the chunk's member
-        // snapshot, per-member epoch loss accumulators, and the rung
-        // ranking.
-        let mut items: Vec<MultiItem> = Vec::new();
-        let mut arena: Vec<f64> = Vec::new();
-        let mut out: Vec<(f64, u64)> = Vec::new();
+        // Recycled across the whole round: the dispatch buffers (work
+        // items, gradient arena, per-item results, member bindings), the
+        // chunk's member snapshot, per-member epoch loss accumulators, and
+        // the rung ranking.
+        let mut batch = CohortBatch::default();
         let mut chunk_members: Vec<usize> = Vec::new();
         let mut epoch_loss: Vec<f64> = Vec::new();
         let mut ranked: Vec<usize> = Vec::new();
@@ -346,14 +345,14 @@ impl Cohort<'_> {
                 // shuffled view of this chunk, so its block of arena slices
                 // reduces to exactly its own minibatch gradient.
                 chunk_members.clear();
-                items.clear();
+                batch.items.clear();
                 for (m, member) in members.iter().enumerate() {
                     if !member.is_alive() {
                         continue;
                     }
                     chunk_members.push(m);
                     for &sample in &member.order[start..end] {
-                        items.push(MultiItem { member: m as u32, sample: sample as u32 });
+                        batch.items.push(MultiItem { member: m as u32, sample: sample as u32 });
                     }
                 }
                 if chunk_members.is_empty() {
@@ -367,10 +366,8 @@ impl Cohort<'_> {
                     params_by,
                     &data.features,
                     &data.labels,
-                    &items,
                     config.method,
-                    &mut arena,
-                    &mut out,
+                    &mut batch,
                 );
                 batch_sw.record(&elivagar_obs::metrics::TRAIN_BATCH_NS);
                 // Sequential per-member reduction and optimizer step, in item
@@ -385,10 +382,10 @@ impl Cohort<'_> {
                     let mut loss = 0.0;
                     let mut executions = 0u64;
                     for i in 0..chunk_len {
-                        let (l, e) = out[offset + i];
+                        let (l, e) = batch.out[offset + i];
                         loss += l;
                         executions += e;
-                        let slice = &arena[(offset + i) * stride..][..num_params];
+                        let slice = &batch.arena[(offset + i) * stride..][..num_params];
                         for (acc, gi) in member.grad.iter_mut().zip(slice) {
                             *acc += gi;
                         }

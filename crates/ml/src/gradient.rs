@@ -10,14 +10,15 @@
 //! Both methods share one dispatch, [`cohort_batch_gradients`]: every
 //! `(member, sample)` pair of a cohort minibatch runs as one item of the
 //! engine's work-stealing pool, against the member's pre-compiled
-//! [`AdjointProgram`]. [`batch_gradient`] is that dispatch for a cohort of
-//! one.
+//! [`AdjointProgram`], which the adjoint method binds once per member per
+//! dispatch. [`batch_gradient`] is that dispatch for a cohort of one.
 
 use crate::loss::cross_entropy_into;
 use crate::model::QuantumClassifier;
 use elivagar_circuit::{Gate, ParamSource};
 use elivagar_sim::{
-    par_items_with_arena, AdjointProgram, Gradients, Program, StateVector, ZObservable,
+    par_items_with_arena, AdjointBinding, AdjointProgram, Gradients, Program, StateVector,
+    ZObservable,
 };
 use std::cell::RefCell;
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
@@ -108,19 +109,20 @@ fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(us
     }
 }
 
-/// Loss and gradient for one sample by the streamed adjoint: a single
-/// forward sweep through the fused [`AdjointProgram`], the classifier
-/// loss and effective observable computed from the final state in the
-/// prepare hook, and one backward sweep accumulating every parameter's
-/// gradient. The gradient lands in `grad_out` (first `params.len()`
-/// entries); returns `(loss, executions)`.
+/// Loss and gradient for one sample by the streamed adjoint at the bound
+/// parameters: a single forward sweep through the fused
+/// [`AdjointProgram`], the classifier loss and effective observable
+/// computed from the final state in the prepare hook, and one backward
+/// sweep accumulating every parameter's gradient. The gradient lands in
+/// the first entries of `grad_out`, one per parameter; returns
+/// `(loss, executions)`.
 ///
 /// All intermediates live in the per-thread [`GRAD_SCRATCH`], so a
 /// warmed-up call performs no heap allocation.
 fn adjoint_sample_gradient(
     model: &QuantumClassifier,
     adjoint: &AdjointProgram,
-    params: &[f64],
+    binding: &AdjointBinding,
     features: &[f64],
     label: usize,
     grad_out: &mut [f64],
@@ -129,7 +131,7 @@ fn adjoint_sample_gradient(
         let s = &mut *cell.borrow_mut();
         let GradScratch { expectations, logits, dlogits, weights, obs, g, .. } = s;
         let loss = adjoint.run_adjoint_with(
-            params,
+            binding,
             features,
             obs,
             |psi, obs| {
@@ -142,7 +144,7 @@ fn adjoint_sample_gradient(
             },
             g,
         );
-        grad_out[..params.len()].copy_from_slice(&g.params);
+        grad_out[..g.params.len()].copy_from_slice(&g.params);
         // One logical forward execution; gradients are free classically.
         (loss, 1)
     })
@@ -165,25 +167,22 @@ pub fn batch_gradient(
     // Classifier training only reads trainable gradients, so the backward
     // sweep skips every data-embedding slot.
     let adjoint = AdjointProgram::compile_params_only(model.circuit());
-    let items: Vec<MultiItem> = (0..features.len() as u32)
-        .map(|sample| MultiItem { member: 0, sample })
-        .collect();
-    let (mut arena, mut out) = (Vec::new(), Vec::new());
+    let mut batch = CohortBatch::default();
+    batch.items.extend((0..features.len() as u32).map(|sample| MultiItem { member: 0, sample }));
     let stride = cohort_batch_gradients(
         std::slice::from_ref(model),
         std::slice::from_ref(&adjoint),
         &[params.to_vec()],
         features,
         labels,
-        &items,
         method,
-        &mut arena,
-        &mut out,
+        &mut batch,
     );
-    let grads = arena
+    let grads = batch
+        .arena
         .chunks_exact(stride)
         .map(|slice| &slice[..params.len()]);
-    reduce_in_order(params.len(), out.iter().copied().zip(grads))
+    reduce_in_order(params.len(), batch.out.iter().copied().zip(grads))
 }
 
 /// Sums per-sample `((loss, executions), gradient)` results in the order
@@ -233,12 +232,13 @@ pub(crate) fn reference_batch_gradient(
     let per_sample = match method {
         GradientMethod::Adjoint => {
             let adjoint = AdjointProgram::compile_params_only(model.circuit());
+            let binding = adjoint.bind(params);
             par_map(&indices, |&i| {
                 let mut grad = vec![0.0; params.len()];
                 let result = adjoint_sample_gradient(
                     model,
                     &adjoint,
-                    params,
+                    &binding,
                     &features[i],
                     labels[i],
                     &mut grad,
@@ -374,56 +374,86 @@ pub struct MultiItem {
     pub sample: u32,
 }
 
+/// The caller-owned buffers of [`cohort_batch_gradients`], recycled
+/// across dispatches: the work items (filled by the caller), the per-item
+/// results, and one [`AdjointBinding`] per member. Once every buffer has
+/// grown to capacity a dispatch performs no heap allocation.
+#[derive(Debug, Default)]
+pub struct CohortBatch {
+    /// The `(member, sample)` pairs to dispatch.
+    pub items: Vec<MultiItem>,
+    /// Item `i`'s gradient, in `arena[i * stride..][..num_params]`.
+    pub arena: Vec<f64>,
+    /// Item `i`'s `(loss, executions)`.
+    pub out: Vec<(f64, u64)>,
+    /// Member `m`'s program bound at its parameters, rebuilt for every
+    /// member present in an adjoint dispatch.
+    bindings: Vec<AdjointBinding>,
+}
+
 /// Fused gradient dispatch over a cohort of candidates, the one production
 /// gradient dispatch: one pass through the work-stealing pool computes
-/// every `(member, sample)` pair in `items`, writing each pair's gradient
-/// into its `stride`-wide arena slice and its `(loss, executions)` into
-/// `out[i]`. Returns the arena stride (the widest member's parameter
-/// count).
+/// every `(member, sample)` pair in `batch.items`, writing each pair's
+/// gradient into its `stride`-wide `batch.arena` slice and its
+/// `(loss, executions)` into `batch.out[i]`. Returns the arena stride (the
+/// widest member's parameter count).
 ///
-/// With [`GradientMethod::Adjoint`] each pair streams through its member's
-/// pre-compiled [`AdjointProgram`] (forward, loss hook, backward in one
-/// pass); with [`GradientMethod::ParameterShift`] the member's forward
-/// program ([`AdjointProgram::program`]) produces the forward state and
-/// runs the shifted evaluations. Reducing member `m`'s slices in item
-/// order gives its minibatch gradient, bit for bit at any thread count.
-/// Once `arena` and `out` have grown to capacity the steady state performs
-/// no heap allocation.
+/// With [`GradientMethod::Adjoint`] every member present in the items is
+/// bound once, on the calling thread ([`AdjointProgram::bind_into`]), and
+/// each pair streams through its member's bound [`AdjointProgram`]
+/// (forward, loss hook, backward in one pass). With
+/// [`GradientMethod::ParameterShift`] the member's forward program
+/// ([`AdjointProgram::program`]) produces the forward state and runs the
+/// shifted evaluations, whose parameters differ from the member's. Reducing
+/// member `m`'s slices in item order gives its minibatch gradient, bit for
+/// bit at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `models`, `adjoints`, and `params` disagree on the cohort
 /// size, if features/labels lengths differ, or if an item indexes out of
 /// range.
-#[allow(clippy::too_many_arguments)]
 pub fn cohort_batch_gradients(
     models: &[QuantumClassifier],
     adjoints: &[AdjointProgram],
     params: &[Vec<f64>],
     features: &[Vec<f64>],
     labels: &[usize],
-    items: &[MultiItem],
     method: GradientMethod,
-    arena: &mut Vec<f64>,
-    out: &mut Vec<(f64, u64)>,
+    batch: &mut CohortBatch,
 ) -> usize {
     assert_eq!(models.len(), adjoints.len(), "model/adjoint mismatch");
     assert_eq!(models.len(), params.len(), "model/params mismatch");
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
-    for item in items {
+    let CohortBatch { items, arena, out, bindings } = batch;
+    for item in items.iter() {
         assert!((item.member as usize) < models.len(), "member out of range");
         assert!((item.sample as usize) < features.len(), "sample out of range");
+    }
+    if method == GradientMethod::Adjoint {
+        bindings.resize_with(models.len(), AdjointBinding::default);
+        // Items are member-major in every caller, so each present member
+        // binds once; any other order only rebinds.
+        let mut previous = None;
+        for item in items.iter() {
+            let m = item.member as usize;
+            if previous != Some(m) {
+                adjoints[m].bind_into(&params[m], &mut bindings[m]);
+                previous = Some(m);
+            }
+        }
     }
     let stride = params.iter().map(Vec::len).max().unwrap_or(0).max(1);
     arena.clear();
     arena.resize(items.len() * stride, 0.0);
+    let bindings = &*bindings;
     par_items_with_arena(items.len(), arena, stride, out, |i, slice| {
         let (m, sample) = (items[i].member as usize, items[i].sample as usize);
         let (model, adjoint, params) = (&models[m], &adjoints[m], &params[m]);
         let (x, label) = (&features[sample], labels[sample]);
         match method {
             GradientMethod::Adjoint => {
-                adjoint_sample_gradient(model, adjoint, params, x, label, slice)
+                adjoint_sample_gradient(model, adjoint, &bindings[m], x, label, slice)
             }
             GradientMethod::ParameterShift => {
                 let program = adjoint.program();

@@ -41,12 +41,13 @@ pub use accounting::{elivagar_default_cost, ElivagarCost, SuperCircuitCost};
 pub use cohort::{train_cohort, train_cohort_with_cancel, CohortOutcome};
 pub use diagnostics::{gradient_variance, GradientVariance};
 pub use gradient::{
-    batch_gradient, cohort_batch_gradients, shift_rule, BatchGradient, GradientMethod, MultiItem,
+    batch_gradient, cohort_batch_gradients, shift_rule, BatchGradient, CohortBatch, GradientMethod,
+    MultiItem,
 };
 pub use loss::{cross_entropy, softmax};
 pub use model::{argmax, ModelError, QuantumClassifier};
 pub use optim::Adam;
 pub use train::{
-    accuracy, evaluate_loss, init_params, noisy_accuracy, train, try_train, TrainConfig,
-    TrainError, TrainOutcome,
+    accuracy, evaluate_loss, init_params, noisy_accuracy, noisy_accuracy_with, train, try_train,
+    TrainConfig, TrainError, TrainOutcome,
 };

@@ -9,7 +9,8 @@ use crate::gradient::GradientMethod;
 use crate::model::QuantumClassifier;
 use elivagar_datasets::Split;
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::noisy_distribution;
+use elivagar_sim::parallel::par_map_index;
+use elivagar_sim::{noisy_distribution_seeded, TaskSeeds};
 use rand::Rng;
 use std::fmt;
 
@@ -249,7 +250,10 @@ pub fn accuracy(model: &QuantumClassifier, params: &[f64], data: &Split) -> f64 
 }
 
 /// Classification accuracy under a device noise model, using Monte-Carlo
-/// trajectory inference per sample.
+/// trajectory inference per sample (`trajectories` shots each, see
+/// [`elivagar_sim::noisy_distribution`]). The samples fan out across the
+/// pool through [`noisy_accuracy_with`]; `rng` advances by one draw per
+/// sample, as if they ran one after another.
 pub fn noisy_accuracy<R: Rng + ?Sized>(
     model: &QuantumClassifier,
     params: &[f64],
@@ -258,17 +262,30 @@ pub fn noisy_accuracy<R: Rng + ?Sized>(
     trajectories: usize,
     rng: &mut R,
 ) -> f64 {
-    let correct = data
-        .features
-        .iter()
-        .zip(&data.labels)
-        .filter(|(x, &y)| {
-            let dist =
-                noisy_distribution(model.circuit(), params, x, noise, trajectories, rng);
-            model.predict_from_distribution(&dist) == y
-        })
-        .count();
-    correct as f64 / data.len() as f64
+    noisy_accuracy_with(data, rng, |x, seeds| {
+        let dist =
+            noisy_distribution_seeded(model.circuit(), params, x, noise, trajectories, seeds);
+        model.predict_from_distribution(&dist)
+    })
+}
+
+/// The fraction of `data` that `predict` labels correctly, where
+/// `predict(x, seeds)` runs a noisy inference of sample `x` from its shot
+/// seeds. Every sample's [`TaskSeeds`] are drawn from `rng` first, one
+/// draw each in sample order (the draw a per-sample
+/// [`elivagar_sim::noisy_distribution`] makes); then the samples fan out
+/// across the pool. The result and `rng` afterwards are identical to a
+/// sequential per-sample loop, at any thread count.
+pub fn noisy_accuracy_with<R: Rng + ?Sized>(
+    data: &Split,
+    rng: &mut R,
+    predict: impl Fn(&[f64], TaskSeeds) -> usize + Sync,
+) -> f64 {
+    let seeds: Vec<TaskSeeds> = (0..data.len()).map(|_| TaskSeeds::from_rng(rng)).collect();
+    let hits = par_map_index(data.len(), |i| {
+        predict(&data.features[i], seeds[i]) == data.labels[i]
+    });
+    hits.iter().filter(|&&hit| hit).count() as f64 / data.len() as f64
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Steady-state allocation audit for the batched cohort training path.
 //!
 //! The search engine trains its whole top-k cohort through
-//! `cohort_batch_gradients` thousands of times per run; the arena, the
-//! recycled output vector, and the thread-local gradient scratch exist so
-//! that after a short warmup the fused dispatch → per-member reduce →
-//! optimizer step loop touches the heap **zero** times per minibatch.
+//! `cohort_batch_gradients` thousands of times per run; its recycled
+//! `CohortBatch` (work items, arena, output vector, member bindings) and
+//! the thread-local gradient scratch exist so that after a short warmup
+//! the bind → fused dispatch → per-member reduce → optimizer step loop
+//! touches the heap **zero** times per minibatch.
 //! This test pins that property with a counting global allocator, for
 //! both gradient methods.
 //!
@@ -17,7 +18,8 @@
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_ml::{
-    cohort_batch_gradients, init_params, Adam, GradientMethod, MultiItem, QuantumClassifier,
+    cohort_batch_gradients, init_params, Adam, CohortBatch, GradientMethod, MultiItem,
+    QuantumClassifier,
 };
 use elivagar_sim::AdjointProgram;
 use rand::rngs::StdRng;
@@ -94,7 +96,8 @@ fn steady_state_cohort_minibatch_does_not_allocate() {
     let labels: Vec<usize> = (0..16).map(|i| i % 2).collect();
     // Member-major items, every member seeing every sample — the same
     // shape train_cohort builds per minibatch chunk.
-    let items: Vec<MultiItem> = (0..models.len() as u32)
+    let mut batch = CohortBatch::default();
+    batch.items = (0..models.len() as u32)
         .flat_map(|m| (0..16u32).map(move |s| MultiItem { member: m, sample: s }))
         .collect();
 
@@ -107,20 +110,18 @@ fn steady_state_cohort_minibatch_does_not_allocate() {
         .collect();
     let mut opts: Vec<Adam> = params.iter().map(|p| Adam::new(p.len(), 0.01)).collect();
     let mut grad: Vec<f64> = Vec::new();
-    let mut arena: Vec<f64> = Vec::new();
-    let mut out: Vec<(f64, u64)> = Vec::new();
 
     for method in [GradientMethod::Adjoint, GradientMethod::ParameterShift] {
         // One minibatch: fused dispatch, then the sequential per-member
         // reduce + Adam step exactly as `train_cohort` performs it.
         let step = |params: &mut [Vec<f64>],
                         opts: &mut [Adam],
-                        arena: &mut Vec<f64>,
-                        out: &mut Vec<(f64, u64)>,
+                        batch: &mut CohortBatch,
                         grad: &mut Vec<f64>| {
             let stride = cohort_batch_gradients(
-                &models, &adjoints, params, &features, &labels, &items, method, arena, out,
+                &models, &adjoints, params, &features, &labels, method, batch,
             );
+            let (arena, out) = (&batch.arena, &batch.out);
             let mut acc = 0.0;
             for (m, p) in params.iter_mut().enumerate() {
                 grad.clear();
@@ -143,16 +144,16 @@ fn steady_state_cohort_minibatch_does_not_allocate() {
             acc
         };
 
-        // Warmup: size the arena, the output vector, the gradient
-        // scratch, and the engine's thread-local workspaces.
+        // Warmup: size the arena, the output vector, the bindings, the
+        // gradient scratch, and the engine's thread-local workspaces.
         let mut acc = 0.0;
         for _ in 0..3 {
-            acc += step(&mut params, &mut opts, &mut arena, &mut out, &mut grad);
+            acc += step(&mut params, &mut opts, &mut batch, &mut grad);
         }
 
         let before = thread_allocations();
         for _ in 0..50 {
-            acc += step(&mut params, &mut opts, &mut arena, &mut out, &mut grad);
+            acc += step(&mut params, &mut opts, &mut batch, &mut grad);
         }
         let delta = thread_allocations() - before;
 

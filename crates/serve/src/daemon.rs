@@ -471,6 +471,11 @@ impl Daemon {
         if spec.candidates == 0 {
             return self.reject(AdmitError::InvalidSpec { detail: "candidates must be >= 1".into() });
         }
+        if spec.train_size == 0 || spec.test_size == 0 {
+            return self.reject(AdmitError::InvalidSpec {
+                detail: "train_size and test_size must be >= 1".into(),
+            });
+        }
         if spec.train_epochs == Some(0) {
             return self.reject(AdmitError::InvalidSpec { detail: "train_epochs must be >= 1".into() });
         }

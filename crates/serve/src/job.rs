@@ -51,9 +51,15 @@ pub struct JobSpec {
     pub candidates: usize,
     /// Search seed. Default 0.
     pub seed: u64,
-    /// Training-split samples to materialize. Default 24.
+    /// Training-split samples to materialize. Default 24. Must be at
+    /// least 1 ([`crate::Daemon::submit`] rejects 0). The daemon caps it
+    /// at the benchmark's full training split and raises it to at least
+    /// 2 samples per class (`elivagar_datasets::load_sized`).
     pub train_size: usize,
-    /// Test-split samples to materialize. Default 8.
+    /// Test-split samples to materialize. Default 8. Must be at least 1
+    /// ([`crate::Daemon::submit`] rejects 0). The daemon caps it at the
+    /// benchmark's full test split and raises it to at least 1 sample
+    /// per class.
     pub test_size: usize,
     /// When set, cohort-train the winning candidates for this many epochs
     /// after the predictor pipeline.

@@ -84,11 +84,19 @@ fn admission_rejections_are_typed_and_counted() {
     zero_slice.slice_records = Some(0);
     assert!(matches!(daemon.submit(zero_slice), Err(AdmitError::InvalidSpec { .. })));
 
+    let mut zero_train = small_job("zt", 0);
+    zero_train.train_size = 0;
+    assert!(matches!(daemon.submit(zero_train), Err(AdmitError::InvalidSpec { .. })));
+
+    let mut zero_test = small_job("zx", 0);
+    zero_test.test_size = 0;
+    assert!(matches!(daemon.submit(zero_test), Err(AdmitError::InvalidSpec { .. })));
+
     let mut path_id = small_job("../escape", 0);
     path_id.id = "../escape".into();
     assert!(matches!(daemon.submit(path_id), Err(AdmitError::InvalidSpec { .. })));
 
-    assert_eq!(daemon.stats().rejected, 7);
+    assert_eq!(daemon.stats().rejected, 9);
     assert_eq!(daemon.stats().admitted, 1);
     assert_eq!(daemon.verify_conservation(), None);
     std::fs::remove_dir_all(&dir).unwrap();

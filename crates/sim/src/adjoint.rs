@@ -8,9 +8,9 @@
 //! sweeps instead of the O(P) circuit executions of the parameter-shift
 //! rule.
 
-use crate::engine::{self, Program};
+use crate::engine::{self, Item, Program};
 use crate::statevector::StateVector;
-use crate::workspace;
+use crate::workspace::{self, MatrixRecord};
 use elivagar_circuit::math::{C64, Mat2, Mat4};
 use elivagar_circuit::{Circuit, Gate, ParamExpr, ParamSource};
 
@@ -164,9 +164,10 @@ pub struct Gradients {
     pub expectation: f64,
     /// Gradient with respect to each trainable parameter.
     pub params: Vec<f64>,
-    /// Gradient with respect to each input feature (zero where a feature is
-    /// unused; empty for amplitude-embedded circuits, which do not expose
-    /// feature gradients).
+    /// Gradient with respect to each input feature, one entry per feature:
+    /// zero where no differentiated gate slot reads it. Only gate slots
+    /// count, so in amplitude-embedded circuits the embedding itself
+    /// contributes nothing.
     pub features: Vec<f64>,
 }
 
@@ -220,6 +221,18 @@ pub(crate) enum SinkKind {
     Feature(usize),
 }
 
+/// Where the sweeps find a dynamic op's gate matrices.
+#[derive(Clone, Copy, Debug)]
+enum Mats {
+    /// No slot reads an input feature: the [`AdjointBinding`] holds `U`,
+    /// `U^dagger` and one `dU` per trainable slot, in slot order, from
+    /// this index of its matrix list on.
+    Bound(usize),
+    /// A slot reads an input feature: the forward sweep builds `U` per
+    /// sample and records it at this index of the sample's matrix record.
+    Recorded(usize),
+}
+
 /// One operation of a compiled adjoint program: fused static blocks carry
 /// their dagger precomputed (the backward pass reuses it on both `psi` and
 /// `lambda`), parametric gates stay symbolic and act as fusion barriers.
@@ -227,8 +240,37 @@ pub(crate) enum SinkKind {
 enum AdjOp {
     One { q: usize, md: Mat2 },
     Two { qa: usize, qb: usize, md: Mat4 },
-    Dyn1 { q: usize, gate: Gate, params: Vec<ParamExpr> },
-    Dyn2 { qa: usize, qb: usize, gate: Gate, params: Vec<ParamExpr> },
+    Dyn1 { q: usize, gate: Gate, params: Vec<ParamExpr>, mats: Mats },
+    Dyn2 { qa: usize, qb: usize, gate: Gate, params: Vec<ParamExpr>, mats: Mats },
+}
+
+/// Lays out one dynamic op's matrices: a feature-reading op takes the
+/// next record slot; any other op takes `U`, `U^dagger` and one derivative
+/// per trainable slot from the binding's list.
+fn layout(exprs: &[ParamExpr], bound: &mut usize, recorded: &mut usize) -> Mats {
+    if exprs.iter().any(|e| e.is_data()) {
+        *recorded += 1;
+        Mats::Recorded(*recorded - 1)
+    } else {
+        let at = *bound;
+        *bound += 2 + exprs.iter().filter(|e| e.trainable_index().is_some()).count();
+        Mats::Bound(at)
+    }
+}
+
+/// An [`AdjointProgram`]'s gate matrices at one parameter vector: for
+/// every dynamic op whose slots read no input feature, the matrix, its
+/// dagger and each trainable slot's derivative, built once by
+/// [`AdjointProgram::bind_into`] and read by every sample's forward and
+/// backward sweep. A parameter vector that stays fixed for a minibatch
+/// (or a whole call) is bound once for it. Recycle one binding per
+/// program across parameter updates: a warmed-up rebind allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
+pub struct AdjointBinding {
+    params: Vec<f64>,
+    one: Vec<Mat2>,
+    two: Vec<Mat4>,
 }
 
 /// A circuit compiled for streamed adjoint differentiation.
@@ -241,9 +283,11 @@ enum AdjOp {
 /// (`2 Re <lambda| dU |psi>`) instead of materializing `dU |psi>` — three
 /// full state sweeps per parameter slot collapse into one.
 ///
-/// Compile once per circuit, then call [`AdjointProgram::run_adjoint_with`]
-/// (or the [`AdjointProgram::gradient_into`] convenience) per sample; a
-/// warmed-up call performs no heap allocation.
+/// Compile once per circuit, bind once per parameter vector
+/// ([`AdjointProgram::bind_into`]), then call
+/// [`AdjointProgram::run_adjoint_with`] (or the
+/// [`AdjointProgram::gradient_into`] convenience) per sample; a warmed-up
+/// call performs no heap allocation.
 #[derive(Clone, Debug)]
 pub struct AdjointProgram {
     /// The compiled forward program. The forward sweep is its execution
@@ -253,6 +297,8 @@ pub struct AdjointProgram {
     /// The program's op stream with per-block daggers precomputed, walked
     /// in reverse by the backward sweep.
     ops: Vec<AdjOp>,
+    /// Lengths of a binding's one- and two-qubit matrix lists.
+    bound_len: (usize, usize),
     /// Lowest op index whose backward visit can contribute a gradient
     /// term (the first dynamic op with a slot this program differentiates
     /// — see [`AdjointProgram::feature_grads`]). Once the backward sweep
@@ -285,14 +331,21 @@ impl AdjointProgram {
 
     fn compile_inner(circuit: &Circuit, feature_grads: bool) -> Self {
         let program = Program::compile(circuit);
+        let (mut bound1, mut bound2, mut recorded1, mut recorded2) = (0, 0, 0, 0);
         let ops: Vec<AdjOp> = program
             .ops()
             .iter()
             .map(|op| match op.clone() {
                 engine::Op::One { q, m } => AdjOp::One { q, md: m.dagger() },
                 engine::Op::Two { qa, qb, m } => AdjOp::Two { qa, qb, md: m.dagger() },
-                engine::Op::Dyn1 { q, gate, params } => AdjOp::Dyn1 { q, gate, params },
-                engine::Op::Dyn2 { qa, qb, gate, params } => AdjOp::Dyn2 { qa, qb, gate, params },
+                engine::Op::Dyn1 { q, gate, params } => {
+                    let mats = layout(&params, &mut bound1, &mut recorded1);
+                    AdjOp::Dyn1 { q, gate, params, mats }
+                }
+                engine::Op::Dyn2 { qa, qb, gate, params } => {
+                    let mats = layout(&params, &mut bound2, &mut recorded2);
+                    AdjOp::Dyn2 { qa, qb, gate, params, mats }
+                }
             })
             .collect();
         let differentiated = |e: &ParamExpr| {
@@ -311,7 +364,7 @@ impl AdjointProgram {
                 AdjOp::One { .. } | AdjOp::Two { .. } => false,
             })
             .unwrap_or(ops.len());
-        AdjointProgram { program, ops, stop, feature_grads }
+        AdjointProgram { program, ops, bound_len: (bound1, bound2), stop, feature_grads }
     }
 
     /// Number of qubits in the compiled circuit.
@@ -325,8 +378,57 @@ impl AdjointProgram {
         &self.program
     }
 
-    /// One streamed adjoint pass with a caller hook between the forward
-    /// sweep and the backward sweep.
+    /// Builds this program's matrices at `params` into a caller-recycled
+    /// binding (see [`AdjointBinding`]): the same `Gate::matrix1/2`,
+    /// `dagger` and derivative calls at the same angles as a per-sample
+    /// rebuild, so every sweep that reads the binding is bit-identical to
+    /// one that rebuilds. With warmed capacities it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit references a parameter beyond `params`.
+    pub fn bind_into(&self, params: &[f64], binding: &mut AdjointBinding) {
+        binding.params.clear();
+        binding.params.extend_from_slice(params);
+        binding.one.clear();
+        binding.two.clear();
+        let trainable = |(slot, e): (usize, &ParamExpr)| e.trainable_index().map(|_| slot);
+        for op in &self.ops {
+            match op {
+                AdjOp::Dyn1 { gate, params: exprs, mats: Mats::Bound(at), .. } => {
+                    debug_assert_eq!(binding.one.len(), *at, "binding layout");
+                    let values = engine::resolve_values(exprs, params, &[]);
+                    let values = &values[..exprs.len()];
+                    let u = gate.matrix1(values);
+                    binding.one.extend([u, u.dagger()]);
+                    for slot in exprs.iter().enumerate().filter_map(trainable) {
+                        binding.one.push(dmat1(*gate, values, slot));
+                    }
+                }
+                AdjOp::Dyn2 { gate, params: exprs, mats: Mats::Bound(at), .. } => {
+                    debug_assert_eq!(binding.two.len(), *at, "binding layout");
+                    let values = engine::resolve_values(exprs, params, &[]);
+                    let values = &values[..exprs.len()];
+                    let u = gate.matrix2(values);
+                    binding.two.extend([u, u.dagger()]);
+                    for slot in exprs.iter().enumerate().filter_map(trainable) {
+                        binding.two.push(dmat2(*gate, values, slot));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Allocating convenience wrapper over [`AdjointProgram::bind_into`].
+    pub fn bind(&self, params: &[f64]) -> AdjointBinding {
+        let mut binding = AdjointBinding::default();
+        self.bind_into(params, &mut binding);
+        binding
+    }
+
+    /// One streamed adjoint pass at `binding`'s parameters, with a caller
+    /// hook between the forward sweep and the backward sweep.
     ///
     /// `prepare` receives the final forward state and a mutable borrow of
     /// the observable; classifier losses use it to compute per-class
@@ -342,25 +444,28 @@ impl AdjointProgram {
     ///
     /// # Panics
     ///
-    /// Panics if the circuit references out-of-range parameters/features,
-    /// or if an observable qubit is out of range.
+    /// Panics if `binding` was not built by a program of this shape, if the
+    /// circuit references out-of-range parameters/features, or if an
+    /// observable qubit is out of range.
     pub fn run_adjoint_with<T>(
         &self,
-        params: &[f64],
+        binding: &AdjointBinding,
         features: &[f64],
         observable: &mut ZObservable,
         prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
         out: &mut Gradients,
     ) -> T {
-        let psi = self.program.run_in_workspace(params, features);
+        let mut record = workspace::acquire_record();
+        let psi = self.forward(binding, features, &mut record);
         let result = prepare(&psi, observable);
-        self.backward_sweep(psi, params, features, observable, out);
+        self.backward_sweep(psi, binding, &record, features, observable, out);
+        workspace::release_record(record);
         result
     }
 
-    /// Streamed-adjoint gradient of a fixed observable into a
-    /// caller-provided [`Gradients`]; a warmed-up call performs no heap
-    /// allocation.
+    /// Streamed-adjoint gradient of a fixed observable at `binding`'s
+    /// parameters into a caller-provided [`Gradients`]; a warmed-up call
+    /// performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -368,36 +473,82 @@ impl AdjointProgram {
     /// [`AdjointProgram::run_adjoint_with`].
     pub fn gradient_into(
         &self,
-        params: &[f64],
+        binding: &AdjointBinding,
         features: &[f64],
         observable: &ZObservable,
         out: &mut Gradients,
     ) {
-        let psi = self.program.run_in_workspace(params, features);
-        self.backward_sweep(psi, params, features, observable, out);
+        let mut record = workspace::acquire_record();
+        let psi = self.forward(binding, features, &mut record);
+        self.backward_sweep(psi, binding, &record, features, observable, out);
+        workspace::release_record(record);
     }
 
-    /// Allocating convenience wrapper over [`AdjointProgram::gradient_into`].
+    /// Allocating convenience: binds `params` and takes one gradient.
     pub fn gradient(&self, params: &[f64], features: &[f64], observable: &ZObservable) -> Gradients {
         let mut out = Gradients {
             expectation: 0.0,
             params: Vec::new(),
             features: Vec::new(),
         };
-        self.gradient_into(params, features, observable, &mut out);
+        self.gradient_into(&self.bind(params), features, observable, &mut out);
         out
     }
 
+    /// The forward sweep: the program's execution with every bound op's
+    /// matrix taken from `binding`, and every feature-reading op's matrix
+    /// built from its angles and recorded in `record` for the backward
+    /// sweep.
+    fn forward(
+        &self,
+        binding: &AdjointBinding,
+        features: &[f64],
+        record: &mut MatrixRecord,
+    ) -> StateVector {
+        assert_eq!(
+            (binding.one.len(), binding.two.len()),
+            self.bound_len,
+            "binding was built by a different program"
+        );
+        let params = binding.params.as_slice();
+        self.program.run_in_workspace_with(features, |i| match &self.ops[i] {
+            AdjOp::Dyn1 { q, mats: Mats::Bound(at), .. } => Item::Static1(*q, binding.one[*at]),
+            AdjOp::Dyn2 { qa, qb, mats: Mats::Bound(at), .. } => {
+                Item::Static2(*qa, *qb, binding.two[*at])
+            }
+            AdjOp::Dyn1 { q, gate, params: exprs, mats: Mats::Recorded(at) } => {
+                debug_assert_eq!(record.one.len(), *at, "record layout");
+                let values = engine::resolve_values(exprs, params, features);
+                let u = gate.matrix1(&values[..exprs.len()]);
+                record.one.push(u);
+                Item::Static1(*q, u)
+            }
+            AdjOp::Dyn2 { qa, qb, gate, params: exprs, mats: Mats::Recorded(at) } => {
+                debug_assert_eq!(record.two.len(), *at, "record layout");
+                let values = engine::resolve_values(exprs, params, features);
+                let u = gate.matrix2(&values[..exprs.len()]);
+                record.two.push(u);
+                Item::Static2(*qa, *qb, u)
+            }
+            AdjOp::One { .. } | AdjOp::Two { .. } => unreachable!("static ops fuse as compiled"),
+        })
+    }
+
     /// The backward sweep from the forward state `psi`, which it consumes
-    /// and returns to the workspace.
+    /// and returns to the workspace. Bound ops read their dagger and
+    /// derivatives from `binding`; feature-reading ops take the dagger of
+    /// the matrix the forward sweep recorded and build derivatives only
+    /// for the slots this program differentiates.
     fn backward_sweep(
         &self,
         mut psi: StateVector,
-        params: &[f64],
+        binding: &AdjointBinding,
+        record: &MatrixRecord,
         features: &[f64],
         observable: &ZObservable,
         out: &mut Gradients,
     ) {
+        let params = binding.params.as_slice();
         let parallel = self.num_qubits() >= engine::AMPLITUDE_PAR_MIN_QUBITS;
         out.expectation = observable.expectation(&psi);
         let mut lambda = workspace::acquire_copy(&psi);
@@ -424,10 +575,11 @@ impl AdjointProgram {
                     engine::apply_fused2(&mut psi, *qa, *qb, md, parallel);
                     engine::apply_fused2(&mut lambda, *qa, *qb, md, parallel);
                 }
-                AdjOp::Dyn1 { q, gate, params: exprs } => {
-                    let values = engine::resolve_values(exprs, params, features);
-                    let values = &values[..exprs.len()];
-                    let ud = gate.matrix1(values).dagger();
+                AdjOp::Dyn1 { q, gate, params: exprs, mats } => {
+                    let (ud, mut bound) = match *mats {
+                        Mats::Bound(at) => (binding.one[at + 1], binding.one[at + 2..].iter()),
+                        Mats::Recorded(at) => (record.one[at].dagger(), [].iter()),
+                    };
                     // psi_{k-1} = U_k^dagger psi_k.
                     engine::apply_fused1(&mut psi, *q, &ud, parallel);
                     for (slot, expr) in exprs.iter().enumerate() {
@@ -437,8 +589,17 @@ impl AdjointProgram {
                         if num_sinks == 0 {
                             continue;
                         }
+                        // A bound op's sinks are its trainable slots, whose
+                        // derivatives the binding holds in slot order.
+                        let du = match bound.next() {
+                            Some(du) => *du,
+                            None => {
+                                let values = engine::resolve_values(exprs, params, features);
+                                dmat1(*gate, &values[..exprs.len()], slot)
+                            }
+                        };
                         // 2 Re <lambda_k | dU_k | psi_{k-1}> in one pass.
-                        let g = 2.0 * lambda.bilinear_mat1(&psi, *q, &dmat1(*gate, values, slot));
+                        let g = 2.0 * lambda.bilinear_mat1(&psi, *q, &du);
                         accumulate_sinks(&sinks[..num_sinks], g, out);
                     }
                     // lambda_{k-1} = U_k^dagger lambda_k.
@@ -446,7 +607,100 @@ impl AdjointProgram {
                         engine::apply_fused1(&mut lambda, *q, &ud, parallel);
                     }
                 }
-                AdjOp::Dyn2 { qa, qb, gate, params: exprs } => {
+                AdjOp::Dyn2 { qa, qb, gate, params: exprs, mats } => {
+                    let (ud, mut bound) = match *mats {
+                        Mats::Bound(at) => (binding.two[at + 1], binding.two[at + 2..].iter()),
+                        Mats::Recorded(at) => (record.two[at].dagger(), [].iter()),
+                    };
+                    engine::apply_fused2(&mut psi, *qa, *qb, &ud, parallel);
+                    for (slot, expr) in exprs.iter().enumerate() {
+                        let mut sinks = [(SinkKind::Param(0), 0.0); 2];
+                        let num_sinks =
+                            classify_sinks(expr, features, self.feature_grads, &mut sinks);
+                        if num_sinks == 0 {
+                            continue;
+                        }
+                        let du = match bound.next() {
+                            Some(du) => *du,
+                            None => {
+                                let values = engine::resolve_values(exprs, params, features);
+                                dmat2(*gate, &values[..exprs.len()], slot)
+                            }
+                        };
+                        let g = 2.0 * lambda.bilinear_mat2(&psi, *qa, *qb, &du);
+                        accumulate_sinks(&sinks[..num_sinks], g, out);
+                    }
+                    if !last {
+                        engine::apply_fused2(&mut lambda, *qa, *qb, &ud, parallel);
+                    }
+                }
+            }
+        }
+
+        workspace::release_state(lambda);
+        workspace::release_state(psi);
+    }
+}
+
+/// The per-sample rebuild the bound sweeps replaced, kept as their test
+/// oracle: the plain forward program, then a backward sweep that builds
+/// every dynamic op's matrix, dagger and derivatives again from the
+/// resolved angles. `binding_exactness` pins the production sweeps to it
+/// under `to_bits`.
+#[cfg(test)]
+impl AdjointProgram {
+    pub(crate) fn reference_run_adjoint_with<T>(
+        &self,
+        params: &[f64],
+        features: &[f64],
+        observable: &mut ZObservable,
+        prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
+        out: &mut Gradients,
+    ) -> T {
+        let mut psi = self.program.run_in_workspace(params, features);
+        let result = prepare(&psi, observable);
+        let parallel = self.num_qubits() >= engine::AMPLITUDE_PAR_MIN_QUBITS;
+        out.expectation = observable.expectation(&psi);
+        let mut lambda = workspace::acquire_copy(&psi);
+        observable.apply_in_place(&mut lambda);
+        out.params.clear();
+        out.params.resize(params.len(), 0.0);
+        out.features.clear();
+        out.features.resize(features.len(), 0.0);
+        for (idx, op) in self.ops.iter().enumerate().rev() {
+            if idx < self.stop {
+                break;
+            }
+            let last = idx == self.stop;
+            match op {
+                AdjOp::One { q, md } => {
+                    engine::apply_fused1(&mut psi, *q, md, parallel);
+                    engine::apply_fused1(&mut lambda, *q, md, parallel);
+                }
+                AdjOp::Two { qa, qb, md } => {
+                    engine::apply_fused2(&mut psi, *qa, *qb, md, parallel);
+                    engine::apply_fused2(&mut lambda, *qa, *qb, md, parallel);
+                }
+                AdjOp::Dyn1 { q, gate, params: exprs, .. } => {
+                    let values = engine::resolve_values(exprs, params, features);
+                    let values = &values[..exprs.len()];
+                    let ud = gate.matrix1(values).dagger();
+                    engine::apply_fused1(&mut psi, *q, &ud, parallel);
+                    for (slot, expr) in exprs.iter().enumerate() {
+                        let mut sinks = [(SinkKind::Param(0), 0.0); 2];
+                        let num_sinks =
+                            classify_sinks(expr, features, self.feature_grads, &mut sinks);
+                        if num_sinks == 0 {
+                            continue;
+                        }
+                        let g = 2.0 * lambda.bilinear_mat1(&psi, *q, &dmat1(*gate, values, slot));
+                        accumulate_sinks(&sinks[..num_sinks], g, out);
+                    }
+                    if !last {
+                        engine::apply_fused1(&mut lambda, *q, &ud, parallel);
+                    }
+                }
+                AdjOp::Dyn2 { qa, qb, gate, params: exprs, .. } => {
                     let values = engine::resolve_values(exprs, params, features);
                     let values = &values[..exprs.len()];
                     let ud = gate.matrix2(values).dagger();
@@ -468,9 +722,9 @@ impl AdjointProgram {
                 }
             }
         }
-
         workspace::release_state(lambda);
         workspace::release_state(psi);
+        result
     }
 }
 
@@ -753,7 +1007,7 @@ mod tests {
         let mut obs = ZObservable::z(0);
         let mut out = Gradients { expectation: 0.0, params: vec![], features: vec![] };
         let seen = program.run_adjoint_with(
-            &params,
+            &program.bind(&params),
             &[],
             &mut obs,
             |psi, obs| {
@@ -791,5 +1045,144 @@ mod tests {
     #[should_panic(expected = "zz qubit out of range")]
     fn expectation_rejects_out_of_range_zz_qubits() {
         let _ = ZObservable::new(vec![]).with_zz(0, 2, 1.0).expectation(&StateVector::zero(2));
+    }
+}
+
+/// The bound sweeps (matrices built once per parameter vector, the
+/// feature-reading ops' matrices recorded by the forward sweep) against
+/// the per-sample rebuild they replaced, under `to_bits`: the prepare
+/// hook's loss, the expectation, and every parameter and feature
+/// gradient, for both compile modes. `scripts/verify.sh` runs this module
+/// at 1, 2 and 4 threads.
+#[cfg(test)]
+mod binding_exactness {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NUM_PARAMS: usize = 4;
+    const NUM_FEATURES: usize = 3;
+
+    /// A slot from every source. Indices wrap, so trainable parameters
+    /// are often shared between slots and gates.
+    fn expr(src: u8, idx: usize, angle: f64) -> ParamExpr {
+        match src % 6 {
+            0 => ParamExpr::constant(angle),
+            1 => ParamExpr::trainable(idx % NUM_PARAMS),
+            2 => ParamExpr::feature(idx % NUM_FEATURES),
+            3 => ParamExpr::feature_product(idx % NUM_FEATURES, (idx / 3 + 1) % NUM_FEATURES),
+            4 => ParamExpr::trainable(idx % NUM_PARAMS).scaled(-0.5),
+            _ => ParamExpr::feature(idx % NUM_FEATURES).scaled(1.5),
+        }
+    }
+
+    /// Random circuits of 1 to 10 qubits, every third op on qubit 0, with
+    /// trainable-only, feature-only and mixed slots (U3 mixes sources
+    /// within one gate), static gates between them, and amplitude
+    /// embedding on some circuits.
+    fn arb_case() -> impl Strategy<Value = (Circuit, Vec<f64>, Vec<f64>)> {
+        let gates = prop::collection::vec(
+            (0u8..12, 0usize..10, 0usize..10, (0u8..6, 0u8..6, 0u8..6), -3.0f64..3.0),
+            1..24,
+        );
+        let params = prop::collection::vec(-3.0f64..3.0, NUM_PARAMS..NUM_PARAMS + 1);
+        let features = prop::collection::vec(-2.0f64..2.0, NUM_FEATURES..NUM_FEATURES + 1);
+        (1usize..=10, any::<bool>(), gates, params, features).prop_map(
+            |(n, amplitude, ops, params, features)| {
+                let mut c = Circuit::new(n);
+                c.set_amplitude_embedding(amplitude && n >= 2);
+                for (i, (kind, qa, qb, (s0, s1, s2), angle)) in ops.into_iter().enumerate() {
+                    let qa = if i % 3 == 0 { 0 } else { qa % n };
+                    let qb = qb % n;
+                    let e0 = expr(s0, i, angle);
+                    match kind {
+                        0 => c.push_gate(Gate::H, &[qa], &[]),
+                        1 => c.push_gate(Gate::Sx, &[qa], &[]),
+                        2 => c.push_gate(Gate::Rx, &[qa], &[e0]),
+                        3 => c.push_gate(Gate::Ry, &[qa], &[e0]),
+                        4 => c.push_gate(Gate::Rz, &[qa], &[e0]),
+                        5 => c.push_gate(
+                            Gate::U3,
+                            &[qa],
+                            &[e0, expr(s1, i + 1, -angle), expr(s2, i + 2, 0.5 * angle)],
+                        ),
+                        6 if qa != qb => c.push_gate(Gate::Cx, &[qa, qb], &[]),
+                        7 if qa != qb => c.push_gate(Gate::Crx, &[qa, qb], &[e0]),
+                        8 if qa != qb => c.push_gate(Gate::Crz, &[qb, qa], &[e0]),
+                        9 if qa != qb => c.push_gate(Gate::Rzz, &[qa, qb], &[e0]),
+                        10 if qa != qb => c.push_gate(Gate::Cry, &[qa, qb], &[e0]),
+                        _ => c.push_gate(Gate::Ry, &[qa], &[ParamExpr::trainable(i % NUM_PARAMS)]),
+                    }
+                }
+                (c, params, features)
+            },
+        )
+    }
+
+    /// A classifier-style hook: a squared loss over every qubit's `<Z>`,
+    /// with the observable rebuilt from its derivative.
+    fn squared_loss(psi: &StateVector, obs: &mut ZObservable) -> f64 {
+        let n = psi.num_qubits();
+        let residual = |q: usize| psi.expectation_z(q) - 0.25 * q as f64;
+        obs.reset_terms((0..n).map(|q| (q, 2.0 * residual(q))));
+        (0..n).map(|q| residual(q) * residual(q)).sum()
+    }
+
+    fn empty() -> Gradients {
+        Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() }
+    }
+
+    fn assert_same_bits(bound: &Gradients, reference: &Gradients, what: &str) {
+        assert_eq!(bound.expectation.to_bits(), reference.expectation.to_bits(), "{what} <O>");
+        assert_eq!(bound.params.len(), reference.params.len(), "{what} params");
+        assert_eq!(bound.features.len(), reference.features.len(), "{what} features");
+        for (i, (b, r)) in bound.params.iter().zip(&reference.params).enumerate() {
+            assert_eq!(b.to_bits(), r.to_bits(), "{what} dparams[{i}]: {b} vs {r}");
+        }
+        for (i, (b, r)) in bound.features.iter().zip(&reference.features).enumerate() {
+            assert_eq!(b.to_bits(), r.to_bits(), "{what} dfeatures[{i}]: {b} vs {r}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bound_sweeps_match_per_sample_rebuild((c, params, features) in arb_case()) {
+            let n = c.num_qubits();
+            let mut terms: Vec<(usize, f64)> =
+                (0..n).map(|q| (q, if q % 2 == 0 { 0.75 } else { -0.5 })).collect();
+            terms.truncate(4);
+            let mut observable = ZObservable::new(terms);
+            if n >= 2 {
+                observable = observable.with_zz(0, n - 1, 0.3);
+            }
+            let stale: Vec<f64> = params.iter().map(|p| p + 1.0).collect();
+            for (mode, program) in [
+                ("compile", AdjointProgram::compile(&c)),
+                ("params-only", AdjointProgram::compile_params_only(&c)),
+            ] {
+                // A recycled binding, first built at other parameters.
+                let mut binding = program.bind(&stale);
+                program.bind_into(&params, &mut binding);
+
+                let (mut bound, mut reference) = (empty(), empty());
+                program.gradient_into(&binding, &features, &observable, &mut bound);
+                let mut fixed = observable.clone();
+                program.reference_run_adjoint_with(
+                    &params, &features, &mut fixed, |_, _| (), &mut reference,
+                );
+                assert_same_bits(&bound, &reference, mode);
+
+                let (mut obs_b, mut obs_r) = (observable.clone(), observable.clone());
+                let loss_b = program.run_adjoint_with(
+                    &binding, &features, &mut obs_b, squared_loss, &mut bound,
+                );
+                let loss_r = program.reference_run_adjoint_with(
+                    &params, &features, &mut obs_r, squared_loss, &mut reference,
+                );
+                prop_assert_eq!(loss_b.to_bits(), loss_r.to_bits(), "{} loss", mode);
+                assert_same_bits(&bound, &reference, mode);
+            }
+        }
     }
 }

@@ -344,7 +344,7 @@ impl Program {
     /// Executes the program for one `(params, features)` pair.
     pub fn run(&self, params: &[f64], features: &[f64]) -> StateVector {
         let mut psi = self.initial_state(features);
-        self.apply(&mut psi, params, features);
+        self.apply(&mut psi, |i| resolved_item(&self.ops[i], params, features));
         psi
     }
 
@@ -370,12 +370,25 @@ impl Program {
     /// adjoint's forward sweep runs through here, so its state is
     /// bit-identical to [`Program::run`]'s.
     pub(crate) fn run_in_workspace(&self, params: &[f64], features: &[f64]) -> StateVector {
+        self.run_in_workspace_with(features, |i| resolved_item(&self.ops[i], params, features))
+    }
+
+    /// [`Program::run_in_workspace`] with each dynamic op's fusion item
+    /// supplied by `dynamic(op_index)` instead of built from resolved
+    /// angles. The streamed adjoint's forward sweep runs through here with
+    /// its bound matrices; given the same matrices the state is
+    /// bit-identical to [`Program::run`]'s.
+    pub(crate) fn run_in_workspace_with(
+        &self,
+        features: &[f64],
+        dynamic: impl FnMut(usize) -> Item,
+    ) -> StateVector {
         let mut psi = if self.amplitude_embedding {
             workspace::acquire_embedded(self.num_qubits, features)
         } else {
             workspace::acquire_zero(self.num_qubits)
         };
-        self.apply(&mut psi, params, features);
+        self.apply(&mut psi, dynamic);
         psi
     }
 
@@ -392,15 +405,16 @@ impl Program {
         }
     }
 
-    /// Applies all fused ops to `psi` in place.
+    /// Applies all fused ops to `psi` in place, taking each dynamic op's
+    /// fusion item from `dynamic(op_index)`.
     ///
     /// Streams still holding dynamic gates get a final fusion pass now
     /// that every angle is known, so e.g. feature-embedding rotations are
     /// absorbed into the entangling kernels instead of executing as
     /// standalone barrier ops. The pass costs one 4x4 matrix product per
-    /// absorbed gate — negligible next to a kernel sweep over 2^n
-    /// amplitudes — and fully static streams skip it.
-    fn apply(&self, psi: &mut StateVector, params: &[f64], features: &[f64]) {
+    /// absorbed gate, plus building each dynamic gate's matrix unless the
+    /// caller supplies it bound; fully static streams skip it.
+    fn apply(&self, psi: &mut StateVector, mut dynamic: impl FnMut(usize) -> Item) {
         let (ops, num_qubits) = (&self.ops, self.num_qubits);
         let parallel_amps = num_qubits >= AMPLITUDE_PAR_MIN_QUBITS;
         let has_dynamic = ops
@@ -417,23 +431,11 @@ impl Program {
             let mut fuser = cell.borrow_mut();
             let sw = elivagar_obs::metrics::Stopwatch::start();
             fuser.begin(num_qubits);
-            for op in ops {
+            for (i, op) in ops.iter().enumerate() {
                 let item = match op {
                     Op::One { q, m } => Item::Static1(*q, *m),
                     Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
-                    Op::Dyn1 { q, gate, params: p } => {
-                        let values = resolve_values(p, params, features);
-                        Item::Static1(*q, gate.matrix1(&values[..p.len()]))
-                    }
-                    Op::Dyn2 {
-                        qa,
-                        qb,
-                        gate,
-                        params: p,
-                    } => {
-                        let values = resolve_values(p, params, features);
-                        Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
-                    }
+                    Op::Dyn1 { .. } | Op::Dyn2 { .. } => dynamic(i),
                 };
                 fuser.push(item);
             }
@@ -441,6 +443,27 @@ impl Program {
             sw.record(&elivagar_obs::metrics::FUSION_NS);
             execute_static_ops(psi, &fuser.ops, parallel_amps);
         });
+    }
+}
+
+/// A dynamic op as a static fusion item, its gate matrix built from the
+/// angles resolved against `params` and `features`.
+fn resolved_item(op: &Op, params: &[f64], features: &[f64]) -> Item {
+    match op {
+        Op::Dyn1 { q, gate, params: p } => {
+            let values = resolve_values(p, params, features);
+            Item::Static1(*q, gate.matrix1(&values[..p.len()]))
+        }
+        Op::Dyn2 {
+            qa,
+            qb,
+            gate,
+            params: p,
+        } => {
+            let values = resolve_values(p, params, features);
+            Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
+        }
+        Op::One { .. } | Op::Two { .. } => unreachable!("static ops fuse as compiled"),
     }
 }
 

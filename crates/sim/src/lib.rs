@@ -92,7 +92,7 @@ pub mod statevector;
 pub mod trajectory;
 pub mod workspace;
 
-pub use adjoint::{AdjointProgram, Gradients, ZObservable};
+pub use adjoint::{AdjointBinding, AdjointProgram, Gradients, ZObservable};
 pub use engine::{par_items_with_arena, BoundProgram, Program, TILE_QUBITS};
 pub use cancel::CancelToken;
 pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};
@@ -107,4 +107,4 @@ pub use frame::{
     noisy_clifford_distribution, noisy_clifford_distribution_frames_with_ideal,
     FrameDistributions, FrameSimulator, FrameWords, DEFAULT_FRAME_WORDS, FRAME_LANES,
 };
-pub use trajectory::noisy_distribution;
+pub use trajectory::{noisy_distribution, noisy_distribution_seeded};

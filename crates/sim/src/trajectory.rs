@@ -134,16 +134,15 @@ fn run_trajectory<R: Rng + ?Sized>(
 /// Average output distribution of a noisy circuit over `num_trajectories`
 /// Monte-Carlo trajectories, including readout error.
 ///
-/// Shots run in parallel across the work-stealing pool in fixed
-/// [`SHOT_CHUNK`]-sized chunks; each shot draws from its own RNG stream
-/// split off `rng` by shot index ([`TaskSeeds`]), so the result does not
-/// depend on the thread count.
+/// Draws one value from `rng` ([`TaskSeeds::from_rng`]) and runs
+/// [`noisy_distribution_seeded`] with it: shots run in parallel across the
+/// work-stealing pool in fixed [`SHOT_CHUNK`]-sized chunks, each from its
+/// own RNG stream split off that value by shot index, so the result does
+/// not depend on the thread count.
 ///
 /// # Panics
 ///
-/// Panics if `noise.per_instruction` does not match the circuit length,
-/// `noise.readout` does not match the measured-qubit count, the circuit
-/// measures no qubits, or `num_trajectories` is zero.
+/// Panics under the same conditions as [`noisy_distribution_seeded`].
 pub fn noisy_distribution<R: Rng + ?Sized>(
     circuit: &Circuit,
     params: &[f64],
@@ -151,6 +150,28 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
     noise: &CircuitNoise,
     num_trajectories: usize,
     rng: &mut R,
+) -> Vec<f64> {
+    let seeds = TaskSeeds::from_rng(rng);
+    noisy_distribution_seeded(circuit, params, features, noise, num_trajectories, seeds)
+}
+
+/// [`noisy_distribution`] with its shot streams split off `seeds` instead
+/// of a fresh draw. Callers that evaluate many inputs draw every input's
+/// seeds up front, in input order, and can then fan the inputs out across
+/// the pool with results identical to evaluating them one after another.
+///
+/// # Panics
+///
+/// Panics if `noise.per_instruction` does not match the circuit length,
+/// `noise.readout` does not match the measured-qubit count, the circuit
+/// measures no qubits, or `num_trajectories` is zero.
+pub fn noisy_distribution_seeded(
+    circuit: &Circuit,
+    params: &[f64],
+    features: &[f64],
+    noise: &CircuitNoise,
+    num_trajectories: usize,
+    seeds: TaskSeeds,
 ) -> Vec<f64> {
     assert!(!circuit.measured().is_empty(), "circuit measures no qubits");
     assert!(num_trajectories > 0, "need at least one trajectory");
@@ -165,7 +186,6 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
         "readout description does not match measured qubits"
     );
     let dim = 1usize << circuit.measured().len();
-    let seeds = TaskSeeds::from_rng(rng);
     let partials = par_map_index(num_trajectories.div_ceil(SHOT_CHUNK), |c| {
         let mut acc = vec![0.0; dim];
         let mut dist = workspace::acquire_real_buffer();

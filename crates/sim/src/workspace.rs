@@ -3,10 +3,10 @@
 //! Search and training workloads execute the same small circuits millions
 //! of times; at that rate the allocator — not arithmetic — dominates the
 //! per-sample cost. This module keeps a thread-local pool of amplitude
-//! buffers (`Vec<C64>`) and real scratch buffers (`Vec<f64>`) that the
-//! engine, the adjoint differentiator, and the trajectory sampler recycle
-//! between samples. A buffer released back to the pool keeps its
-//! capacity, so after a short warmup the steady-state per-sample
+//! buffers (`Vec<C64>`), real scratch buffers (`Vec<f64>`) and gate-matrix
+//! records that the engine, the adjoint differentiator, and the trajectory
+//! sampler recycle between samples. A buffer released back to the pool
+//! keeps its capacity, so after a short warmup the steady-state per-sample
 //! execute/gradient path performs **zero** heap allocations (asserted by
 //! `crates/sim/tests/zero_alloc.rs`).
 //!
@@ -16,7 +16,7 @@
 
 use crate::stabilizer::Tableau;
 use crate::statevector::StateVector;
-use elivagar_circuit::math::C64;
+use elivagar_circuit::math::{Mat2, Mat4, C64};
 use std::cell::RefCell;
 
 /// Maximum buffers kept per thread per pool; excess releases are dropped
@@ -28,6 +28,34 @@ thread_local! {
     static REAL_BUFFERS: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
     static WORD_BUFFERS: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
     static TABLEAUS: RefCell<Vec<Tableau>> = const { RefCell::new(Vec::new()) };
+    static RECORDS: RefCell<Vec<MatrixRecord>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The gate matrices one streamed-adjoint forward sweep built for its
+/// feature-reading ops, in op order, kept for the backward sweep of the
+/// same sample so it does not rebuild them.
+#[derive(Default)]
+pub(crate) struct MatrixRecord {
+    pub(crate) one: Vec<Mat2>,
+    pub(crate) two: Vec<Mat4>,
+}
+
+/// Takes an empty matrix record from this thread's pool (with its previous
+/// capacity), or a fresh one.
+pub(crate) fn acquire_record() -> MatrixRecord {
+    RECORDS.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+}
+
+/// Returns a matrix record to this thread's pool.
+pub(crate) fn release_record(mut record: MatrixRecord) {
+    record.one.clear();
+    record.two.clear();
+    RECORDS.with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.len() < MAX_POOLED {
+            pool.push(record);
+        }
+    });
 }
 
 /// Takes an amplitude buffer from this thread's pool (empty but with

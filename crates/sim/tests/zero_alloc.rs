@@ -16,8 +16,8 @@
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_sim::oracle::inject_pauli_tableau;
 use elivagar_sim::{
-    lower_instruction, workspace, AdjointProgram, CircuitNoise, CliffordOp, FrameSimulator,
-    Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
+    lower_instruction, workspace, AdjointBinding, AdjointProgram, CircuitNoise, CliffordOp,
+    FrameSimulator, Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,20 +91,27 @@ fn steady_state_sample_path_does_not_allocate() {
         features: Vec::new(),
     };
 
+    let mut binding = AdjointBinding::default();
+
     // Warmup: fill the thread-local workspace pools and fusion scratch,
-    // and let `grads` grow to its final size.
+    // and let `grads` and the binding grow to their final sizes.
     let mut acc = 0.0;
     for _ in 0..3 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
-        adjoint.gradient_into(&params, &features, &observable, &mut grads);
+        adjoint.bind_into(&params, &mut binding);
+        adjoint.gradient_into(&binding, &features, &observable, &mut grads);
         acc += grads.expectation;
     }
 
-    // Steady state: zero heap traffic across many samples.
+    // Steady state: zero heap traffic across many samples, rebinding
+    // every tenth as a training step would.
     let before = thread_allocations();
-    for _ in 0..100 {
+    for i in 0..100 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
-        adjoint.gradient_into(&params, &features, &observable, &mut grads);
+        if i % 10 == 0 {
+            adjoint.bind_into(&params, &mut binding);
+        }
+        adjoint.gradient_into(&binding, &features, &observable, &mut grads);
         acc += grads.params.iter().sum::<f64>();
     }
     let delta = thread_allocations() - before;

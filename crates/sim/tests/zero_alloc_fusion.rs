@@ -88,13 +88,15 @@ fn steady_state_fused_execute_and_streamed_adjoint_do_not_allocate() {
         features: Vec::new(),
     };
 
+    let binding = adjoint.bind(&params);
+
     // Warmup: fill the workspace pools (two adjoint states plus the
-    // forward state), the fusion scratch, and `grads`.
+    // forward state), the fusion scratch, the matrix record, and `grads`.
     let mut acc = 0.0;
     for _ in 0..3 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
         acc += adjoint.run_adjoint_with(
-            &params,
+            &binding,
             &features,
             &mut obs,
             |psi, _| psi.expectation_z(1),
@@ -108,7 +110,7 @@ fn steady_state_fused_execute_and_streamed_adjoint_do_not_allocate() {
     for _ in 0..50 {
         acc += program.run_with(&params, &features, |psi| psi.expectation_z(0));
         acc += adjoint.run_adjoint_with(
-            &params,
+            &binding,
             &features,
             &mut obs,
             |psi, _| psi.expectation_z(1),

@@ -55,16 +55,25 @@ done
 # through the pool), and the no-FMA kernels their scalar references, at
 # every pool size: StateVector::apply_mat1 (AVX2 and portable), the
 # fused engine's kernels for ops on qubit 0 (dense and diagonal, one and
-# two qubits, both bilinears), and the pairwise TVD lanes. Each suite is
-# counted on its own, so a filter that matches nothing fails.
+# two qubits, both bilinears), and the pairwise TVD lanes. The streamed
+# adjoint's bound sweeps (gate matrices built once per parameter vector)
+# must equal the per-sample rebuild they replaced, in the same loop. Each
+# suite is counted on its own, so a filter that matches nothing fails.
 for t in 1 2 4; do
   ELIVAGAR_THREADS="$t" run_counted "repcap oracle differential @ $t threads" \
     cargo test -q -p elivagar --lib repcap::tests
-  for suite in statevector::apply_mat1_exactness engine::qubit0_exactness sampling::tests; do
+  for suite in statevector::apply_mat1_exactness engine::qubit0_exactness sampling::tests \
+    adjoint::binding_exactness; do
     ELIVAGAR_THREADS="$t" run_counted "exact kernels ($suite) @ $t threads" \
       cargo test -q -p elivagar-sim --lib -- "$suite"
   done
 done
+
+# The paper's claims: tier-1 runs the cheap ones; Fig. 6b trains a
+# SuperCircuit and 48 circuits, so it is ignored in debug builds and runs
+# here in release.
+run_counted "claims (release, ignored included)" \
+  cargo test --release -q -p elivagar-bench --test claims -- --include-ignored
 
 # Result-cache differential matrix: cache off, cold, and warm must agree
 # bit-for-bit (rankings, Pareto fronts, journals) at every thread count,

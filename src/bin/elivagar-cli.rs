@@ -336,8 +336,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
             job.priority = parse_flag(&args, "--priority", 0)?.unwrap_or(0);
             job.candidates = parse_flag(&args, "--candidates", 1)?.unwrap_or(4);
             job.seed = parse_flag(&args, "--seed", 0)?.unwrap_or(0);
-            job.train_size = parse_flag(&args, "--train-size", 0)?.unwrap_or(24);
-            job.test_size = parse_flag(&args, "--test-size", 0)?.unwrap_or(8);
+            job.train_size = parse_flag(&args, "--train-size", 1)?.unwrap_or(24);
+            job.test_size = parse_flag(&args, "--test-size", 1)?.unwrap_or(8);
             job.train_epochs = parse_flag(&args, "--epochs", 1)?;
             job.slice_records = parse_flag(&args, "--slice-records", 1)?;
             job.deadline_slices = parse_flag(&args, "--deadline-slices", 0)?;

@@ -88,6 +88,8 @@ fn out_of_range_numeric_flags_exit_with_code_1_before_any_work() {
         ("--max-retries", "4294967296", "--max-retries is out of range, got \"4294967296\"".into()),
         ("--candidates", huge, format!("--candidates is out of range, got {huge:?}")),
         ("--slice-records", "0", "--slice-records must be >= 1".into()),
+        ("--train-size", "0", "--train-size must be >= 1".into()),
+        ("--test-size", "0", "--test-size must be >= 1".into()),
     ];
     for (flag, value, message) in submit_cases {
         let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
