@@ -202,8 +202,12 @@ pub struct RunOptions {
     /// write-temp+fsync+rename with a CRC32 footer). `None` disables
     /// checkpointing.
     pub checkpoint_to: Option<PathBuf>,
-    /// Candidates evaluated between checkpoint saves; `0` means the
-    /// default (16).
+    /// Candidates evaluated per parallel dispatch, each dispatch followed
+    /// by a commit (a checkpoint save when `checkpoint_to` is set); `0`
+    /// means the default (16). A dispatch is capped at the records left
+    /// before the [`RunOptions::slice_budget`] stop point, so a slice of at
+    /// most this many records evaluates each stage's candidates in one
+    /// dispatch and saves once per stage.
     pub checkpoint_every: usize,
     /// Resume from a journal written by a previous (interrupted) run of
     /// the *same* configuration. Journaled evaluations are reused
@@ -214,11 +218,15 @@ pub struct RunOptions {
     /// journal's length. This is the scheduler-facing slicing knob: a
     /// daemon runs one budgeted slice, requeues the job, and later resumes
     /// the next slice from the checkpoint — fair-sharing the pool across
-    /// jobs without changing any evaluated value.
+    /// jobs without changing any evaluated value. No dispatch runs past the
+    /// stop point, so the run stops at exactly this many new records,
+    /// unless one commit of budget quarantines crosses it.
     pub slice_budget: Option<usize>,
-    /// Cooperative cancellation: polled at every commit boundary (and per
-    /// cohort-training epoch), returning [`SearchError::Canceled`] once it
-    /// fires. Carries explicit cancels and wall-clock deadlines.
+    /// Cooperative cancellation: polled at every commit, the slice's
+    /// stop point included, and per cohort-training epoch, returning
+    /// [`SearchError::Canceled`] once it fires. Carries explicit cancels and
+    /// wall-clock deadlines. A commit follows each dispatch, so a deadline
+    /// is noticed at the end of the dispatch it expires in.
     pub cancel: Option<elivagar_sim::CancelToken>,
     /// Content-addressed result cache for CNR and RepCap evaluations (see
     /// [`elivagar_cache`]). A hit replays the journaled value and
@@ -239,7 +247,8 @@ impl RunOptions {
         self
     }
 
-    /// Sets the checkpoint cadence (candidates evaluated between saves).
+    /// Sets the checkpoint cadence (candidates evaluated per dispatch and
+    /// save); see [`RunOptions::checkpoint_every`].
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
         self.checkpoint_every = every;
         self
@@ -590,8 +599,8 @@ pub fn run_search_with(
 }
 
 /// The run's journal and the rules for committing it: whether it is
-/// saved, how many candidates are evaluated between saves, and where this
-/// call stops.
+/// saved, how many candidates one dispatch evaluates before a save, and
+/// where this call stops.
 struct Ledger<'a> {
     journal: Journal,
     options: &'a RunOptions,
@@ -601,8 +610,9 @@ struct Ledger<'a> {
     /// The absolute journal length at which this call stops: the resumed
     /// journal's length plus [`RunOptions::slice_budget`].
     stop_at: Option<usize>,
-    /// Candidates evaluated between commits.
-    chunk_size: usize,
+    /// Candidates evaluated between commits while the stop point is
+    /// further away.
+    cadence: usize,
 }
 
 impl<'a> Ledger<'a> {
@@ -627,7 +637,7 @@ impl<'a> Ledger<'a> {
         };
         Ok(Ledger {
             stop_at: options.slice_budget.map(|b| journal.len() + b),
-            chunk_size: if options.checkpoint_every == 0 {
+            cadence: if options.checkpoint_every == 0 {
                 DEFAULT_CHECKPOINT_EVERY
             } else {
                 options.checkpoint_every
@@ -638,8 +648,17 @@ impl<'a> Ledger<'a> {
         })
     }
 
+    /// Candidates the next dispatch may evaluate: the cadence, capped at
+    /// the records left before the stop point, and at least one (a zero
+    /// slice budget still makes progress).
+    fn chunk_len(&self) -> usize {
+        let records = self.journal.len();
+        let left = self.stop_at.map_or(usize::MAX, |stop| stop.saturating_sub(records));
+        self.cadence.min(left).max(1)
+    }
+
     /// Saves the journal if checkpointing is enabled, then stops the run
-    /// at its slice boundary or on cancellation. Called after every batch
+    /// on cancellation or at its slice boundary. Called after every batch
     /// of new records.
     fn commit(&mut self) -> Result<(), SearchError> {
         if let Some(path) = &self.options.checkpoint_to {
@@ -650,13 +669,15 @@ impl<'a> Ledger<'a> {
             elivagar_sim::faultpoint::hit("search::checkpoint", self.saves);
         }
         let records = self.journal.len();
-        if self.stop_at.is_some_and(|limit| records >= limit) {
-            return Err(SearchError::Interrupted { records });
-        }
-        // The cancel poll comes after the save: a canceled run still leaves
-        // a durable record of everything it finished.
+        // The cancel poll comes after the save, so a canceled run still
+        // leaves a durable record of everything it finished, and before
+        // the stop check, so a slice whose every dispatch ends at its stop
+        // point still notices a deadline.
         if self.options.cancel.as_ref().is_some_and(elivagar_sim::CancelToken::is_canceled) {
             return Err(SearchError::Canceled { records });
+        }
+        if self.stop_at.is_some_and(|limit| records >= limit) {
+            return Err(SearchError::Interrupted { records });
         }
         Ok(())
     }
@@ -704,10 +725,11 @@ const REPCAP_STAGE: PredictorStage = PredictorStage {
 /// 1. candidates the journal already holds at this stage are skipped;
 /// 2. those whose CNR executions plus the stage's `cost` exceed
 ///    [`SearchConfig::eval_budget`] are quarantined and committed first;
-/// 3. the rest run as `evaluate(index, seed)` in checkpoint-sized chunks
-///    with per-task panic isolation;
+/// 3. the rest run as `evaluate(index, seed)` with per-task panic
+///    isolation, in dispatches of [`Ledger::chunk_len`] candidates: the
+///    cadence, capped at the slice's stop point;
 /// 4. each outcome is journaled in index order — a panic or a non-finite
-///    value as a quarantine — and every chunk is committed.
+///    value as a quarantine — and every dispatch is committed.
 ///
 /// Returns each candidate's value (`None` if quarantined) and the
 /// quarantine entries, in `indices` order and read back from the journal,
@@ -747,7 +769,10 @@ fn run_predictor_stage(
     if ledger.journal.len() > before {
         ledger.commit()?;
     }
-    for chunk in pending.chunks(ledger.chunk_size) {
+    let mut rest = pending.as_slice();
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(ledger.chunk_len().min(rest.len()));
+        rest = tail;
         let outcomes = elivagar_sim::parallel::par_map_isolated(chunk, |&i| {
             let _span = elivagar_obs::span!(spec.eval_span, candidate = i);
             // Per-candidate seeds are pure functions of (search seed,
@@ -1347,33 +1372,39 @@ mod tests {
         let baseline =
             run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
         let path = scratch("slices");
-        let _ = std::fs::remove_file(&path);
         // Drive the search the way a scheduler would: budgeted slices of
         // 3 new records each, resumed from the checkpoint, until it
-        // completes. The final result must match the one-shot run bit for
-        // bit.
-        let mut slices = 0usize;
-        let final_result = loop {
-            let mut options = RunOptions::new()
-                .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
-                .with_slice_budget(3);
-            if path.exists() {
-                options = options.with_resume(path.clone());
-            }
-            match run_search(&device, &dataset, &config, &options) {
-                Ok(result) => break result,
-                Err(SearchError::Interrupted { .. }) => {
-                    slices += 1;
-                    assert!(slices < 100, "slicing never converged");
+        // completes. No dispatch runs past a slice's stop point, so every
+        // slice stops at exactly 3 more records, at cadence 2 (a 2 then a
+        // capped 1) and at the default cadence (16, capped at 3) alike.
+        // The final result must match the one-shot run bit for bit.
+        for every in [2, 0] {
+            let _ = std::fs::remove_file(&path);
+            let mut stops = Vec::new();
+            let final_result = loop {
+                let mut options = RunOptions::new()
+                    .with_checkpoint(path.clone())
+                    .with_checkpoint_every(every)
+                    .with_slice_budget(3);
+                if path.exists() {
+                    options = options.with_resume(path.clone());
                 }
-                Err(other) => panic!("unexpected error: {other}"),
+                match run_search(&device, &dataset, &config, &options) {
+                    Ok(result) => break result,
+                    Err(SearchError::Interrupted { records }) => {
+                        stops.push(records);
+                        assert!(stops.len() < 100, "slicing never converged");
+                    }
+                    Err(other) => panic!("unexpected error: {other}"),
+                }
+            };
+            assert!(stops.len() >= 2, "6 candidates at 3 records/slice must take several slices");
+            let multiples: Vec<usize> = (1..=stops.len()).map(|k| 3 * k).collect();
+            assert_eq!(stops, multiples, "slice stops at checkpoint_every {every}");
+            assert_eq!(final_result, baseline, "checkpoint_every {every}");
+            for (a, b) in final_result.scored.iter().zip(baseline.scored.iter()) {
+                assert_eq!(a.score.map(f64::to_bits), b.score.map(f64::to_bits));
             }
-        };
-        assert!(slices >= 2, "6 candidates at 3 records/slice must take several slices");
-        assert_eq!(final_result, baseline);
-        for (a, b) in final_result.scored.iter().zip(baseline.scored.iter()) {
-            assert_eq!(a.score.map(f64::to_bits), b.score.map(f64::to_bits));
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1383,14 +1414,18 @@ mod tests {
         let (device, dataset, config) = setup();
         let token = elivagar_sim::CancelToken::new();
         token.cancel();
-        let err = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions::new().with_cancel(token),
-        )
-        .expect_err("pre-canceled token stops the run");
-        assert!(matches!(err, SearchError::Canceled { .. }));
+        // The cancel poll precedes the stop check, so a commit that lands
+        // exactly on a slice's stop point still reports the cancellation.
+        for (options, first_commit) in
+            [(RunOptions::new(), 6), (RunOptions::new().with_slice_budget(3), 3)]
+        {
+            let err = run_search(&device, &dataset, &config, &options.with_cancel(token.clone()))
+                .expect_err("pre-canceled token stops the run");
+            assert!(
+                matches!(err, SearchError::Canceled { records } if records == first_commit),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Reads job-spec JSON files from a spool directory, admits them under
 //! bounded-queue admission control, and runs them as fair-share slices
-//! until drained (or `--max-ticks`). All state lives under `--state`:
+//! until drained (or `--max-ticks`). A slice of `--slice-records` new
+//! evaluations runs as one pool dispatch per search stage (at most 16
+//! candidates each) and saves the job's checkpoint after each. All state
+//! lives under `--state`:
 //! `journal.log` (the decision log), `checkpoints/` (per-job search
 //! journals), `results/` (checksummed ranking artifacts), and
 //! `stats.json` (the end-of-run funnel and latency quantiles). Restarting
@@ -12,18 +15,19 @@
 //! ```text
 //! elivagar-served --state DIR [--spool DIR] [--queue-depth N]
 //!                 [--slice-records N] [--max-retries N] [--backoff-base N]
-//!                 [--checkpoint-every N] [--tenant-budget N]
-//!                 [--tenant-weight NAME=W]... [--max-ticks N] [--quiet]
+//!                 [--tenant-budget N] [--tenant-weight NAME=W]...
+//!                 [--max-ticks N] [--quiet]
 //! ```
 //!
-//! Flags are checked before the state directory is created: a flag given
-//! without a value, a malformed or out-of-range number, or zero for
-//! `--queue-depth`, `--slice-records`, `--checkpoint-every` or a
+//! Flags are checked before the state directory is created: a flag not
+//! listed above (`unknown flag <name>`), an argument that is no flag's
+//! value, a flag given without a value, a malformed or out-of-range
+//! number, or zero for `--queue-depth`, `--slice-records` or a
 //! `--tenant-weight`, exits 1 with a message. So does a malformed
 //! `ELIVAGAR_THREADS`, which `Daemon::open` refuses before it creates
 //! anything.
 
-use elivagar_serve::flags::{flag_value, flag_values, parse_flag, parse_number};
+use elivagar_serve::flags::{check_known, flag_value, flag_values, parse_flag, parse_number};
 use elivagar_serve::{AdmitError, Daemon, JobSpec, JobState, ServeConfig};
 use serde::Serialize;
 use std::process::ExitCode;
@@ -31,11 +35,24 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: elivagar-served --state DIR [--spool DIR] [--queue-depth N] \
-         [--slice-records N] [--max-retries N] [--backoff-base N] [--checkpoint-every N] \
-         [--tenant-budget N] [--tenant-weight NAME=W]... [--max-ticks N] [--quiet]"
+         [--slice-records N] [--max-retries N] [--backoff-base N] [--tenant-budget N] \
+         [--tenant-weight NAME=W]... [--max-ticks N] [--quiet]"
     );
     ExitCode::FAILURE
 }
+
+/// The flags that take a value; `--quiet` is the one switch.
+const VALUED_FLAGS: &[&str] = &[
+    "--state",
+    "--spool",
+    "--queue-depth",
+    "--slice-records",
+    "--max-retries",
+    "--backoff-base",
+    "--tenant-budget",
+    "--tenant-weight",
+    "--max-ticks",
+];
 
 /// The `stats.json` artifact: the run funnel plus latency quantiles, one
 /// flat object so shell gates can grep fields out.
@@ -68,6 +85,10 @@ struct StatsFile {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(message) = check_known(&args, VALUED_FLAGS, &["--quiet"]) {
+        eprintln!("{message}");
+        return usage();
+    }
     let state_dir = match flag_value(&args, "--state") {
         Ok(Some(dir)) => dir,
         Ok(None) => return usage(),
@@ -88,8 +109,6 @@ fn main() -> ExitCode {
         c.slice_records = parse_flag(&args, "--slice-records", 1)?.unwrap_or(c.slice_records);
         c.max_retries = parse_flag(&args, "--max-retries", 0)?.unwrap_or(c.max_retries);
         c.backoff_base = parse_flag(&args, "--backoff-base", 0)?.unwrap_or(c.backoff_base);
-        c.checkpoint_every =
-            parse_flag(&args, "--checkpoint-every", 1)?.unwrap_or(c.checkpoint_every);
         c.tenant_record_budget = parse_flag(&args, "--tenant-budget", 0)?;
         max_ticks = parse_flag(&args, "--max-ticks", 0)?.unwrap_or(max_ticks);
         for entry in flag_values(&args, "--tenant-weight")? {

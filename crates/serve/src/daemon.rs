@@ -16,9 +16,18 @@
 //!   durable progress and the job requeues;
 //! * hits a deadline — slice-count deadlines are checked at the tick
 //!   boundary, wall-clock deadlines cancel cooperatively through a
-//!   [`CancelToken`] polled at checkpoint and cohort-epoch boundaries;
+//!   [`CancelToken`] polled at each checkpoint save and cohort epoch;
 //! * panics — the job backs off exponentially (`backoff_base << attempt`
 //!   ticks) and dead-letters after its retry budget.
+//!
+//! The daemon leaves the checkpoint cadence at the search's default (16
+//! candidates per dispatch), and no dispatch runs past the slice's stop
+//! point: a slice of at most 16 records evaluates them in one pool
+//! dispatch per search stage (two when it crosses from CNR to RepCap) and
+//! saves the checkpoint once after each, so a wall-clock deadline is
+//! noticed at the end of a stage's dispatch. A job's device, dataset and
+//! search config are built at its first slice in this process and kept
+//! until it turns terminal; after a restart the next slice rebuilds them.
 //!
 //! Every decision is journaled (see [`crate::journal`]) before the
 //! in-memory state changes, so `kill -9` at any instant loses at most the
@@ -45,17 +54,25 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Daemon configuration. [`Daemon::open`] refuses a zero `queue_depth`,
-/// `slice_records`, `checkpoint_every` or tenant weight.
+/// `slice_records` or tenant weight.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Root of the daemon's durable state: `journal.log`, `checkpoints/`,
     /// and `results/` live underneath.
     pub state_dir: PathBuf,
     /// Maximum non-terminal jobs held at once; admissions beyond it are
-    /// shed-or-rejected.
+    /// shed-or-rejected. It also bounds the daemon's memory: each of these
+    /// jobs that has run a slice keeps its device, search config and
+    /// dataset (`train_size + test_size` samples) until it turns terminal,
+    /// so the daemon holds at most `queue_depth` datasets at once (about
+    /// 22 MiB each for full-size MNIST-10). A tenant runs one job at a
+    /// time unless a retry backoff or a higher-priority arrival switches
+    /// jobs, so the usual count is one per tenant.
     pub queue_depth: usize,
     /// Default per-slice budget of new evaluation records (jobs may
-    /// override via [`JobSpec::slice_records`]).
+    /// override via [`JobSpec::slice_records`]). A slice saves the job's
+    /// checkpoint after each stage's dispatch, a dispatch being at most 16
+    /// candidates and never running past the budget.
     pub slice_records: usize,
     /// Default retry budget for panicked slices (jobs may override via
     /// [`JobSpec::max_retries`]).
@@ -63,9 +80,6 @@ pub struct ServeConfig {
     /// Backoff base in ticks: retry `n` waits `backoff_base << (n - 1)`
     /// ticks.
     pub backoff_base: u64,
-    /// Per-job checkpoint cadence in records, forwarded to
-    /// [`RunOptions::checkpoint_every`].
-    pub checkpoint_every: usize,
     /// Per-tenant cap on total journaled evaluation records; a tenant at
     /// its cap has further jobs failed with [`FailKind::BudgetExhausted`].
     /// `None` is unlimited.
@@ -84,7 +98,6 @@ impl ServeConfig {
             slice_records: 6,
             max_retries: 2,
             backoff_base: 1,
-            checkpoint_every: 2,
             tenant_record_budget: None,
             tenant_weights: Vec::new(),
         }
@@ -92,11 +105,7 @@ impl ServeConfig {
 
     /// Names the first setting that must be at least 1 but is zero.
     fn validate(&self) -> Result<(), String> {
-        let counts = [
-            ("queue_depth", self.queue_depth),
-            ("slice_records", self.slice_records),
-            ("checkpoint_every", self.checkpoint_every),
-        ];
+        let counts = [("queue_depth", self.queue_depth), ("slice_records", self.slice_records)];
         if let Some((name, _)) = counts.iter().find(|&&(_, v)| v == 0) {
             return Err(format!("{name} must be >= 1"));
         }
@@ -179,8 +188,8 @@ pub enum ServeError {
     /// The daemon journal could not be written.
     Journal(JournalError),
     /// A setting the daemon cannot run with: a zero queue depth, slice
-    /// size, checkpoint cadence or tenant weight in [`ServeConfig`], or a
-    /// malformed `ELIVAGAR_THREADS`.
+    /// size or tenant weight in [`ServeConfig`], or a malformed
+    /// `ELIVAGAR_THREADS`.
     InvalidConfig {
         /// What is wrong.
         detail: String,
@@ -295,6 +304,9 @@ pub struct Daemon {
     /// One open result-cache handle per `cache_dir`, shared by every job
     /// (and so every tenant) pointing at that directory.
     caches: BTreeMap<String, elivagar::CacheHandle>,
+    /// [`Daemon::search_inputs`] of each job that has run a slice in this
+    /// process and is not terminal, so at most `queue_depth` entries.
+    inputs: BTreeMap<String, (Device, Dataset, SearchConfig)>,
 }
 
 impl Daemon {
@@ -339,6 +351,7 @@ impl Daemon {
             started: Instant::now(),
             submit_instants: BTreeMap::new(),
             caches: BTreeMap::new(),
+            inputs: BTreeMap::new(),
         };
         for event in events {
             daemon.replay(event);
@@ -388,7 +401,8 @@ impl Daemon {
 
     /// Rebuilds in-memory state from one journaled event. Backoff windows
     /// collapse on replay (tick domains do not survive restarts), so a
-    /// retried job is immediately runnable after recovery.
+    /// retried job is immediately runnable after recovery. A job that
+    /// turns terminal drops its search inputs.
     fn replay(&mut self, event: JobEvent) {
         match event {
             JobEvent::Submitted(spec) => {
@@ -422,12 +436,14 @@ impl Daemon {
                     job.state = JobState::Done { records };
                     self.stats.done += 1;
                 }
+                self.inputs.remove(&id);
             }
             JobEvent::Failed(JobFailed { id, reason }) => {
                 if let Some(job) = self.jobs.get_mut(&id) {
                     job.state = JobState::Failed(reason);
                     self.stats.failed += 1;
                 }
+                self.inputs.remove(&id);
             }
             JobEvent::DeadLettered(DeadLettered { id, attempts, reason }) => {
                 if let Some(job) = self.jobs.get_mut(&id) {
@@ -435,12 +451,14 @@ impl Daemon {
                     job.state = JobState::DeadLetter { attempts, reason };
                     self.stats.dead_letter += 1;
                 }
+                self.inputs.remove(&id);
             }
             JobEvent::Shed(Shed { id, displaced_by }) => {
                 if let Some(job) = self.jobs.get_mut(&id) {
                     job.state = JobState::Shed { displaced_by };
                     self.stats.shed += 1;
                 }
+                self.inputs.remove(&id);
             }
         }
     }
@@ -591,7 +609,8 @@ impl Daemon {
     }
 
     /// Builds the deterministic search inputs for a spec. Pure function of
-    /// the spec, so every slice and every restart sees the same search.
+    /// the spec, so every slice and every restart sees the same search;
+    /// `run_slice` builds them once per job and process.
     fn search_inputs(spec: &JobSpec) -> Option<(Device, Dataset, SearchConfig)> {
         let bench = elivagar_datasets::spec(&spec.benchmark)?;
         let device = elivagar_device::device_by_name(&spec.device)?;
@@ -696,20 +715,23 @@ impl Daemon {
             }
         }
 
-        let Some((device, dataset, config)) = Self::search_inputs(spec) else {
-            // Validated at admission; only reachable via a replayed journal
-            // from a build with different benchmarks/devices.
-            return self.fail_job(
-                id,
-                FailReason {
-                    kind: FailKind::Search,
-                    detail: format!(
-                        "benchmark {:?} or device {:?} unknown to this build",
-                        spec.benchmark, spec.device
-                    ),
-                },
-            );
-        };
+        if !self.inputs.contains_key(id) {
+            let Some(inputs) = Self::search_inputs(spec) else {
+                // Validated at admission; only reachable via a replayed
+                // journal from a build with different benchmarks/devices.
+                return self.fail_job(
+                    id,
+                    FailReason {
+                        kind: FailKind::Search,
+                        detail: format!(
+                            "benchmark {:?} or device {:?} unknown to this build",
+                            spec.benchmark, spec.device
+                        ),
+                    },
+                );
+            };
+            self.inputs.insert(id.to_string(), inputs);
+        }
 
         let cancel = match spec.deadline_ms {
             Some(ms) => CancelToken::with_deadline(std::time::Duration::from_millis(ms)),
@@ -718,7 +740,6 @@ impl Daemon {
         let ckpt = self.checkpoint_path(id);
         let mut options = RunOptions::default()
             .with_checkpoint(&ckpt)
-            .with_checkpoint_every(self.config.checkpoint_every)
             .with_slice_budget(spec.slice_records.unwrap_or(self.config.slice_records))
             .with_cancel(cancel.clone());
         if ckpt.exists() {
@@ -736,8 +757,9 @@ impl Daemon {
             }
         }
 
+        let (device, dataset, config) = &self.inputs[id];
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_search(&device, &dataset, &config, &options)
+            run_search(device, dataset, config, &options)
         }));
 
         match outcome {
@@ -900,5 +922,74 @@ impl Daemon {
             path: path.display().to_string(),
             message: format!("result failed to parse: {e}"),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch(name: &str) -> PathBuf {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("elivagar-daemon-{pid}-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn small_job(id: &str, priority: u8) -> JobSpec {
+        let mut spec = JobSpec::named(id);
+        spec.priority = priority;
+        spec.train_size = 12;
+        spec.test_size = 4;
+        spec
+    }
+
+    fn kept(daemon: &Daemon) -> Vec<&str> {
+        daemon.inputs.keys().map(String::as_str).collect()
+    }
+
+    /// A job's search inputs are built at its first slice, kept while it
+    /// runs, and dropped when it finishes; a reopened daemon holds none
+    /// until a slice runs.
+    #[test]
+    fn search_inputs_live_from_first_slice_to_terminal_state() {
+        let dir = scratch("inputs");
+        let mut config = ServeConfig::new(&dir);
+        config.slice_records = 2;
+        let mut daemon = Daemon::open(config.clone()).unwrap();
+        daemon.submit(small_job("job", 0)).unwrap();
+        assert!(kept(&daemon).is_empty(), "admission builds nothing");
+        daemon.tick().unwrap();
+        daemon.tick().unwrap();
+        assert!(daemon.has_pending(), "two 2-record slices do not finish the job");
+        assert_eq!(kept(&daemon), ["job"]);
+        drop(daemon);
+
+        let mut daemon = Daemon::open(config).unwrap();
+        assert!(kept(&daemon).is_empty(), "a reopened daemon starts empty");
+        daemon.tick().unwrap();
+        assert_eq!(kept(&daemon), ["job"], "the next slice rebuilds the entry");
+        daemon.run_until_drained(100).unwrap();
+        assert!(matches!(daemon.job("job").unwrap().state, JobState::Done { .. }));
+        assert!(kept(&daemon).is_empty(), "a finished job keeps nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A queued job that already ran a slice drops its inputs when a
+    /// higher-priority admission sheds it.
+    #[test]
+    fn a_shed_job_drops_its_search_inputs() {
+        let dir = scratch("shed-inputs");
+        let mut config = ServeConfig::new(&dir);
+        config.queue_depth = 1;
+        config.slice_records = 2;
+        let mut daemon = Daemon::open(config).unwrap();
+        daemon.submit(small_job("low", 0)).unwrap();
+        daemon.tick().unwrap();
+        assert_eq!(kept(&daemon), ["low"]);
+        daemon.submit(small_job("high", 1)).unwrap();
+        assert!(matches!(daemon.job("low").unwrap().state, JobState::Shed { .. }));
+        assert!(kept(&daemon).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,11 +1,13 @@
 //! Command-line flag parsing shared by `elivagar-served` and
 //! `elivagar-cli`.
 //!
-//! A flag is a `--name value` pair anywhere in the argument list. A flag
-//! given without a value (last, or followed by another `--flag`) is an
-//! error. Numeric flags are unsigned integers with a per-flag minimum: a
-//! malformed, out-of-range or too-small value is an error naming the flag
-//! and the value, never a silently substituted default, clamp or wrap.
+//! A flag is a `--name value` pair, or a `--name` switch, anywhere in the
+//! argument list. A flag given without a value (last, or followed by
+//! another `--flag`) is an error, and so is an argument that is neither a
+//! known flag nor a flag's value ([`check_known`]). Numeric flags are
+//! unsigned integers with a per-flag minimum: a malformed, out-of-range or
+//! too-small value is an error naming the flag and the value, never a
+//! silently substituted default, clamp or wrap.
 
 use std::fmt::Display;
 use std::num::{IntErrorKind, ParseIntError};
@@ -36,6 +38,30 @@ pub fn flag_values(args: &[String], name: &str) -> Result<Vec<String>, String> {
             _ => Err(format!("{name} expects a value")),
         })
         .collect()
+}
+
+/// Checks that every argument is one of `switches`, one of `valued`, or
+/// the value right after one of `valued`.
+///
+/// # Errors
+///
+/// `unknown flag <arg>` for the first other argument that starts with
+/// `--`, or `unexpected argument "<arg>"` for any other stray argument.
+/// A valued flag without its value is left to [`flag_value`].
+pub fn check_known(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next_if(|value| !value.starts_with("--"));
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(if arg.starts_with("--") {
+                format!("unknown flag {arg}")
+            } else {
+                format!("unexpected argument {arg:?}")
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Parses `value`, given for the flag `name`, as an unsigned integer of
@@ -97,6 +123,17 @@ mod tests {
         assert_eq!(parse_flag::<usize>(&a, "--missing", 1), Ok(None));
         assert_eq!(parse_flag::<usize>(&a, "--n", 0), Ok(Some(0)));
         assert_eq!(parse_flag::<usize>(&a, "--n", 1), Err("--n must be >= 1".into()));
+    }
+
+    #[test]
+    fn only_known_flags_and_their_values_pass() {
+        let (valued, switches) = (&["--n", "--w"][..], &["--quiet"][..]);
+        let ok = args(&["--n", "3", "--quiet", "--w", "a=1", "--w", "--n"]);
+        assert_eq!(check_known(&ok, valued, switches), Ok(()));
+        let typo = args(&["--n", "3", "--m", "4"]);
+        assert_eq!(check_known(&typo, valued, switches), Err("unknown flag --m".into()));
+        let stray = args(&["--n", "3", "4"]);
+        assert_eq!(check_known(&stray, valued, switches), Err("unexpected argument \"4\"".into()));
     }
 
     #[test]

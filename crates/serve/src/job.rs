@@ -65,15 +65,18 @@ pub struct JobSpec {
     /// after the predictor pipeline.
     pub train_epochs: Option<usize>,
     /// Per-slice budget of *new* journaled evaluations, overriding the
-    /// daemon default. Smaller slices yield the scheduler more often.
+    /// daemon default. Smaller slices yield the scheduler more often, and
+    /// each slice saves the job's checkpoint once per search stage it
+    /// evaluates.
     pub slice_records: Option<usize>,
     /// Deadline in scheduler slices: the job fails with
     /// [`FailKind::Deadline`] once it has consumed this many slices
     /// without finishing. Deterministic (tick-domain) deadline.
     pub deadline_slices: Option<u64>,
     /// Wall-clock deadline in milliseconds per slice, enforced
-    /// cooperatively through a cancellation token polled at checkpoint and
-    /// cohort-epoch boundaries. Best-effort (wall-time domain).
+    /// cooperatively through a cancellation token polled at each
+    /// checkpoint save (the end of a stage's dispatch within the slice)
+    /// and each cohort epoch. Best-effort (wall-time domain).
     pub deadline_ms: Option<u64>,
     /// Retry budget for panic-quarantined slices, overriding the daemon
     /// default. After this many retries the job dead-letters.

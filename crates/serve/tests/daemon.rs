@@ -6,6 +6,7 @@
 //! (`tests/chaos.rs`, `--features fault-injection`) covers kills and torn
 //! writes at armed faultpoints.
 
+use elivagar::checkpoint::crc32;
 use elivagar_serve::{
     AdmitError, Daemon, FailKind, JobResult, JobSpec, JobState, ServeConfig, ServeError,
     TickOutcome,
@@ -105,13 +106,12 @@ fn admission_rejections_are_typed_and_counted() {
 #[test]
 fn open_refuses_a_zero_setting_before_creating_state() {
     let dir = scratch("zero-config");
-    let zeroed: [fn(&mut ServeConfig); 4] = [
+    let zeroed: [fn(&mut ServeConfig); 3] = [
         |c| c.queue_depth = 0,
         |c| c.slice_records = 0,
-        |c| c.checkpoint_every = 0,
         |c| c.tenant_weights = vec![("a".into(), 2), ("b".into(), 0)],
     ];
-    let settings = ["queue_depth", "slice_records", "checkpoint_every", "tenant \"b\""];
+    let settings = ["queue_depth", "slice_records", "tenant \"b\""];
     for (zero, setting) in zeroed.iter().zip(settings) {
         let mut config = ServeConfig::new(&dir);
         zero(&mut config);
@@ -180,6 +180,65 @@ fn slice_deadline_fails_typed_with_durable_partial_progress() {
     assert!(daemon.checkpoint_path("tight").exists());
     assert_eq!(daemon.stats().failed, 1);
     assert_eq!(daemon.stats().slices, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A wall-clock deadline that has already passed is noticed at the first
+/// commit of the first slice, even though that commit lands on the slice's
+/// stop point (10 candidates, 6-record slices): the job fails typed, no
+/// slice commits, and the evaluations the slice finished are durable.
+#[test]
+fn wall_clock_deadline_fails_typed_in_the_first_slice() {
+    let dir = scratch("deadline-ms");
+    let mut daemon = Daemon::open(ServeConfig::new(&dir)).unwrap();
+    let mut job = small_job("late", 5);
+    job.candidates = 10;
+    job.deadline_ms = Some(0);
+    daemon.submit(job).unwrap();
+    drain(&mut daemon);
+
+    let job = daemon.job("late").unwrap();
+    match &job.state {
+        JobState::Failed(reason) => {
+            assert_eq!(reason.kind, FailKind::Deadline);
+            assert!(reason.detail.contains("wall-clock deadline"), "{}", reason.detail);
+        }
+        other => panic!("expected deadline failure, got {other:?}"),
+    }
+    assert_eq!(daemon.stats().slices, 0);
+    let journal = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+    assert!(!journal.contains("SliceCommitted"), "{journal}");
+    assert!(daemon.checkpoint_path("late").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No dispatch runs past a slice's stop point, so a slice budget the
+/// search's dispatches do not divide still commits exact multiples of it,
+/// across the CNR-to-RepCap boundary too.
+#[test]
+fn an_odd_slice_budget_commits_exact_multiples_of_it() {
+    let dir = scratch("odd-slices");
+    let mut daemon = Daemon::open(ServeConfig::new(&dir)).unwrap();
+    let mut job = small_job("odd", 7);
+    job.candidates = 10;
+    job.slice_records = Some(3);
+    daemon.submit(job).unwrap();
+    let mut commits = Vec::new();
+    while daemon.has_pending() {
+        daemon.tick().unwrap();
+        let job = daemon.job("odd").unwrap();
+        if matches!(job.state, JobState::Queued) {
+            commits.push(job.records);
+        }
+        assert!(commits.len() < 100, "the job never finished");
+    }
+    let JobState::Done { records } = daemon.job("odd").unwrap().state else {
+        panic!("expected completion, got {:?}", daemon.job("odd").unwrap().state);
+    };
+    assert!(records > 10, "RepCap records follow the 10 CNR records: {records}");
+    let multiples: Vec<u64> = (1..=commits.len() as u64).map(|k| 3 * k).collect();
+    assert_eq!(commits, multiples);
+    assert!(records - commits.last().copied().unwrap_or(0) <= 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -341,6 +400,92 @@ fn corrupt_job_checkpoint_is_discarded_and_the_job_recomputed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+// ---- durable bytes ---------------------------------------------------------
+
+/// FNV-1a-64 of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fleet of [`durable_bytes_are_pinned`]: 8 training jobs from 3
+/// tenants over 3 benchmarks, in pairs that repeat a (benchmark, seed).
+/// The last two pairs share one result cache, so one job of each is
+/// served from the other's entries. `g-3` slices 4 records at a time,
+/// which the daemon's default of 6 does not divide.
+fn golden_fleet(cache_dir: &str) -> Vec<JobSpec> {
+    let benchmarks = ["moons", "bank", "vowel-2", "moons"];
+    (0..8)
+        .map(|i| {
+            let mut spec = small_job(&format!("g-{i}"), 60 + i as u64 / 2);
+            spec.tenant = ["a", "b", "c"][i % 3].into();
+            spec.benchmark = benchmarks[i / 2].into();
+            spec.candidates = 10;
+            spec.train_epochs = Some(1);
+            if i == 3 {
+                spec.slice_records = Some(4);
+            }
+            if i >= 4 {
+                spec.cache_dir = Some(cache_dir.into());
+            }
+            spec
+        })
+        .collect()
+}
+
+/// The daemon journal with every `path` replaced by `token` and each
+/// line's CRC recomputed: the bytes a daemon would have written had the
+/// cache directory been named `token`.
+fn journal_with_token(text: &str, path: &str, token: &str) -> String {
+    text.lines()
+        .map(|line| {
+            let (body, crc) = line.rsplit_once(' ').expect("journal line ends in its CRC");
+            assert_eq!(crc, format!("{:08x}", crc32(body.as_bytes())), "journal CRC of {body}");
+            let body = body.replace(path, token);
+            format!("{body} {:08x}\n", crc32(body.as_bytes()))
+        })
+        .collect()
+}
+
+/// Everything the daemon makes durable for a fixed fleet, as
+/// `(length, FNV-1a-64)`: the daemon journal (cache path tokenized), the
+/// result artifacts and the final per-job checkpoints, each concatenated
+/// in job-id order. The bytes do not depend on the thread count
+/// (`scripts/verify.sh` runs this at `ELIVAGAR_THREADS=1/2/4`), nor on
+/// how many dispatches or checkpoint saves a slice takes.
+#[test]
+fn durable_bytes_are_pinned() {
+    let dir = scratch("golden-bytes");
+    let cache_dir = scratch("golden-bytes-cache").display().to_string();
+    let fleet = golden_fleet(&cache_dir);
+    let mut daemon = Daemon::open(ServeConfig::new(&dir)).unwrap();
+    for spec in &fleet {
+        daemon.submit(spec.clone()).unwrap();
+    }
+    // No other test in this binary names a cache, so every hit is this
+    // fleet's.
+    let before = elivagar_obs::metrics::snapshot();
+    drain(&mut daemon);
+    assert_eq!(daemon.stats().done, 8);
+    let hits = elivagar_obs::metrics::snapshot().since(&before).counter("cache.hits");
+    assert!(hits > 0, "the pairs sharing a cache must hit it");
+
+    let journal = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+    let journal = journal_with_token(&journal, &cache_dir, "<cache>");
+    let concat = |path: fn(&Daemon, &str) -> PathBuf| -> Vec<u8> {
+        fleet.iter().flat_map(|s| std::fs::read(path(&daemon, &s.id)).unwrap()).collect()
+    };
+    let results = concat(Daemon::result_path);
+    let checkpoints = concat(Daemon::checkpoint_path);
+    let pinned = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
+    assert_eq!(pinned(journal.as_bytes()), (3_480, 0x497a_8f12_8968_1a61), "journal.log");
+    assert_eq!(pinned(&results), (1_456, 0x6d8c_667e_c958_8f2b), "results");
+    assert_eq!(pinned(&checkpoints), (12_024, 0x32fd_4b44_7882_2899), "checkpoints");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&cache_dir).unwrap();
+}
+
 // ---- real SIGKILL against the daemon binary --------------------------------
 
 fn write_spool(spool: &std::path::Path) {
@@ -388,7 +533,9 @@ fn malformed_numeric_flag_exits_1_before_creating_state() {
         ),
         (None, &["--queue-depth", "0"], "--queue-depth must be >= 1"),
         (None, &["--slice-records", "0"], "--slice-records must be >= 1"),
-        (None, &["--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+        // Flags the daemon does not know: one it dropped and a typo.
+        (None, &["--checkpoint-every", "0"], "unknown flag --checkpoint-every"),
+        (None, &["--slice-record", "3"], "unknown flag --slice-record"),
         (None, &["--tenant-weight", "tenant-0=0"], "--tenant-weight must be >= 1"),
         (None, &["--queue-depth"], "--queue-depth expects a value"),
         (None, &["--max-ticks", "--quiet"], "--max-ticks expects a value"),

@@ -50,6 +50,14 @@ for t in 1 2 4; do
     cargo test -q -p elivagar-bench --test determinism
 done
 
+# The serve daemon's durable bytes: an 8-job, 3-tenant fleet must leave
+# the same journal, result artifacts and final checkpoints (length and
+# FNV-1a-64) at every pool size.
+for t in 1 2 4; do
+  ELIVAGAR_THREADS="$t" run_counted "serve durable bytes @ $t threads" \
+    cargo test -q -p elivagar-serve --test daemon durable_bytes_are_pinned
+done
+
 # Exact SIMD matrix: the vectorized RepCap measurement stage must equal
 # its per-pair oracle under to_bits (batched engine calls dispatch
 # through the pool), and the no-FMA kernels their scalar references, at
