@@ -494,7 +494,6 @@ fn search_kill_and_resume_reproduces_golden_ranking() {
             &config,
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
                 .with_slice_budget(stop_after),
         )
         .expect_err("stops mid-search");
@@ -506,7 +505,6 @@ fn search_kill_and_resume_reproduces_golden_ranking() {
             &config,
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
                 .with_resume(path.clone()),
         )
         .expect("resumed run completes");
@@ -594,7 +592,6 @@ fn nsga2_kill_and_resume_reproduces_golden_front() {
             &config,
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
                 .with_slice_budget(stop_after),
         )
         .expect_err("stops mid-evolution");
@@ -606,7 +603,6 @@ fn nsga2_kill_and_resume_reproduces_golden_front() {
             &config,
             &search::RunOptions::new()
                 .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
                 .with_resume(path.clone()),
         )
         .expect("resumed evolution completes");
@@ -640,7 +636,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// what let an upgraded build resume journals written before the
 /// upgrade, so any change to record order, quarantine reasons, or the
 /// serialized form breaks one of these. The bytes do not depend on the
-/// thread count or on the checkpoint cadence.
+/// thread count or on where slices stop: each search runs unsliced and
+/// in slices of 2 and of 3 records.
 #[test]
 fn journal_bytes_are_pinned() {
     let (device, dataset, config) = golden_search_task();
@@ -656,27 +653,29 @@ fn journal_bytes_are_pinned() {
     let mut path = std::env::temp_dir();
     path.push(format!("elivagar-bench-journal-bytes-{}", std::process::id()));
     for (name, config, len, digest) in tasks {
-        for every in [2, 16] {
+        for budget in [None, Some(2), Some(3)] {
             let _ = std::fs::remove_file(&path);
-            let outcome = search::run_search(
-                &device,
-                &dataset,
-                &config,
-                &search::RunOptions::new()
-                    .with_checkpoint(path.clone())
-                    .with_checkpoint_every(every),
-            );
-            if let Err(e) = outcome {
-                assert!(
-                    matches!(e, search::SearchError::NoViableCandidates { .. }),
-                    "{name}: unexpected error {e}"
-                );
+            // Each slice resumes from the checkpoint the last one saved.
+            for slice in 0.. {
+                assert!(slice < 100, "{name}: slices of {budget:?} never converged");
+                let mut options = search::RunOptions::new().with_checkpoint(path.clone());
+                if let Some(records) = budget {
+                    options = options.with_slice_budget(records);
+                }
+                if slice > 0 {
+                    options = options.with_resume(path.clone());
+                }
+                match search::run_search(&device, &dataset, &config, &options) {
+                    Ok(_) | Err(search::SearchError::NoViableCandidates { .. }) => break,
+                    Err(search::SearchError::Interrupted { .. }) if budget.is_some() => {}
+                    Err(e) => panic!("{name}: unexpected error {e}"),
+                }
             }
             let bytes = std::fs::read(&path).expect("journal written");
             assert_eq!(
                 (bytes.len(), fnv1a64(&bytes)),
                 (len, digest),
-                "{name} journal (checkpoint_every {every}): got {} bytes, digest {:#018x}",
+                "{name} journal (slices of {budget:?}): got {} bytes, digest {:#018x}",
                 bytes.len(),
                 fnv1a64(&bytes)
             );

@@ -199,16 +199,9 @@ impl From<CheckpointError> for SearchError {
 #[non_exhaustive]
 pub struct RunOptions {
     /// Journal completed evaluations to this path (atomic
-    /// write-temp+fsync+rename with a CRC32 footer). `None` disables
-    /// checkpointing.
+    /// write-temp+fsync+rename with a CRC32 footer), saved after every
+    /// parallel dispatch. `None` disables checkpointing.
     pub checkpoint_to: Option<PathBuf>,
-    /// Candidates evaluated per parallel dispatch, each dispatch followed
-    /// by a commit (a checkpoint save when `checkpoint_to` is set); `0`
-    /// means the default (16). A dispatch is capped at the records left
-    /// before the [`RunOptions::slice_budget`] stop point, so a slice of at
-    /// most this many records evaluates each stage's candidates in one
-    /// dispatch and saves once per stage.
-    pub checkpoint_every: usize,
     /// Resume from a journal written by a previous (interrupted) run of
     /// the *same* configuration. Journaled evaluations are reused
     /// verbatim; only unfinished candidates are evaluated.
@@ -218,9 +211,11 @@ pub struct RunOptions {
     /// journal's length. This is the scheduler-facing slicing knob: a
     /// daemon runs one budgeted slice, requeues the job, and later resumes
     /// the next slice from the checkpoint — fair-sharing the pool across
-    /// jobs without changing any evaluated value. No dispatch runs past the
-    /// stop point, so the run stops at exactly this many new records,
-    /// unless one commit of budget quarantines crosses it.
+    /// jobs without changing any evaluated value. A dispatch evaluates at
+    /// most 16 candidates and never runs past the stop point, so the run
+    /// stops at exactly this many new records, unless one commit of budget
+    /// quarantines crosses it. A slice of at most 16 records evaluates each
+    /// stage's candidates in one dispatch and saves once per stage.
     pub slice_budget: Option<usize>,
     /// Cooperative cancellation: polled at every commit, the slice's
     /// stop point included, and per cohort-training epoch, returning
@@ -244,13 +239,6 @@ impl RunOptions {
     /// Journals completed evaluations to `path`.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_to = Some(path.into());
-        self
-    }
-
-    /// Sets the checkpoint cadence (candidates evaluated per dispatch and
-    /// save); see [`RunOptions::checkpoint_every`].
-    pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every;
         self
     }
 
@@ -285,6 +273,8 @@ impl RunOptions {
     }
 }
 
+/// Candidates one parallel dispatch evaluates (and a checkpoint save
+/// follows) while the slice's stop point is further away.
 const DEFAULT_CHECKPOINT_EVERY: usize = 16;
 
 /// One candidate trained by the post-search cohort stage.
@@ -409,7 +399,7 @@ pub fn search(device: &Device, dataset: &Dataset, config: &SearchConfig) -> Sear
 ///
 /// Candidate evaluation order, per-candidate RNG streams, and the final
 /// ranking are deterministic functions of the config alone — independent
-/// of thread count, of checkpoint cadence, and of how many times the run
+/// of thread count, of where slices stop, and of how many times the run
 /// was interrupted and resumed. Generation is always recomputed (it is a
 /// pure function of the seed); the journal caches only the expensive
 /// CNR/RepCap evaluations.
@@ -610,9 +600,6 @@ struct Ledger<'a> {
     /// The absolute journal length at which this call stops: the resumed
     /// journal's length plus [`RunOptions::slice_budget`].
     stop_at: Option<usize>,
-    /// Candidates evaluated between commits while the stop point is
-    /// further away.
-    cadence: usize,
 }
 
 impl<'a> Ledger<'a> {
@@ -637,24 +624,20 @@ impl<'a> Ledger<'a> {
         };
         Ok(Ledger {
             stop_at: options.slice_budget.map(|b| journal.len() + b),
-            cadence: if options.checkpoint_every == 0 {
-                DEFAULT_CHECKPOINT_EVERY
-            } else {
-                options.checkpoint_every
-            },
             journal,
             options,
             saves: 0,
         })
     }
 
-    /// Candidates the next dispatch may evaluate: the cadence, capped at
-    /// the records left before the stop point, and at least one (a zero
-    /// slice budget still makes progress).
+    /// Candidates the next dispatch may evaluate:
+    /// [`DEFAULT_CHECKPOINT_EVERY`], capped at the records left before the
+    /// stop point, and at least one (a zero slice budget still makes
+    /// progress).
     fn chunk_len(&self) -> usize {
         let records = self.journal.len();
         let left = self.stop_at.map_or(usize::MAX, |stop| stop.saturating_sub(records));
-        self.cadence.min(left).max(1)
+        DEFAULT_CHECKPOINT_EVERY.min(left).max(1)
     }
 
     /// Saves the journal if checkpointing is enabled, then stops the run
@@ -726,8 +709,8 @@ const REPCAP_STAGE: PredictorStage = PredictorStage {
 /// 2. those whose CNR executions plus the stage's `cost` exceed
 ///    [`SearchConfig::eval_budget`] are quarantined and committed first;
 /// 3. the rest run as `evaluate(index, seed)` with per-task panic
-///    isolation, in dispatches of [`Ledger::chunk_len`] candidates: the
-///    cadence, capped at the slice's stop point;
+///    isolation, in dispatches of [`Ledger::chunk_len`] candidates: at
+///    most [`DEFAULT_CHECKPOINT_EVERY`], capped at the slice's stop point;
 /// 4. each outcome is journaled in index order — a panic or a non-finite
 ///    value as a quarantine — and every dispatch is committed.
 ///
@@ -1342,7 +1325,7 @@ mod tests {
         let baseline =
             run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
 
-        let checkpointed = RunOptions::new().with_checkpoint(path.clone()).with_checkpoint_every(2);
+        let checkpointed = RunOptions::new().with_checkpoint(path.clone());
         // No stop requested: this full run must also match the baseline.
         let uninterrupted = run_search(&device, &dataset, &config, &checkpointed);
         assert_eq!(uninterrupted.expect("checkpointed run"), baseline);
@@ -1373,19 +1356,17 @@ mod tests {
             run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
         let path = scratch("slices");
         // Drive the search the way a scheduler would: budgeted slices of
-        // 3 new records each, resumed from the checkpoint, until it
+        // 2 or 3 new records each, resumed from the checkpoint, until it
         // completes. No dispatch runs past a slice's stop point, so every
-        // slice stops at exactly 3 more records, at cadence 2 (a 2 then a
-        // capped 1) and at the default cadence (16, capped at 3) alike.
-        // The final result must match the one-shot run bit for bit.
-        for every in [2, 0] {
+        // slice stops at exactly its budget more records, also where a
+        // stage ends inside a slice. The final result must match the
+        // one-shot run bit for bit.
+        for budget in [2, 3] {
             let _ = std::fs::remove_file(&path);
             let mut stops = Vec::new();
             let final_result = loop {
-                let mut options = RunOptions::new()
-                    .with_checkpoint(path.clone())
-                    .with_checkpoint_every(every)
-                    .with_slice_budget(3);
+                let mut options =
+                    RunOptions::new().with_checkpoint(path.clone()).with_slice_budget(budget);
                 if path.exists() {
                     options = options.with_resume(path.clone());
                 }
@@ -1398,10 +1379,10 @@ mod tests {
                     Err(other) => panic!("unexpected error: {other}"),
                 }
             };
-            assert!(stops.len() >= 2, "6 candidates at 3 records/slice must take several slices");
-            let multiples: Vec<usize> = (1..=stops.len()).map(|k| 3 * k).collect();
-            assert_eq!(stops, multiples, "slice stops at checkpoint_every {every}");
-            assert_eq!(final_result, baseline, "checkpoint_every {every}");
+            assert!(stops.len() >= 2, "6 candidates at {budget} records/slice take several slices");
+            let multiples: Vec<usize> = (1..=stops.len()).map(|k| budget * k).collect();
+            assert_eq!(stops, multiples, "slice stops at budget {budget}");
+            assert_eq!(final_result, baseline, "slice budget {budget}");
             for (a, b) in final_result.scored.iter().zip(baseline.scored.iter()) {
                 assert_eq!(a.score.map(f64::to_bits), b.score.map(f64::to_bits));
             }
@@ -1540,10 +1521,7 @@ mod tests {
             &device,
             &dataset,
             &config,
-            &RunOptions::new()
-                .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
-                .with_slice_budget(9),
+            &RunOptions::new().with_checkpoint(path.clone()).with_slice_budget(9),
         )
         .expect_err("stops mid-evolution");
         assert!(matches!(err, SearchError::Interrupted { .. }));

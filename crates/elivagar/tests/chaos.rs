@@ -1,22 +1,19 @@
 //! Chaos suite: deterministic fault injection against the full search
 //! pipeline.
 //!
-//! Runs only with `--features fault-injection`; `scripts/verify.sh` drives
-//! it as a dedicated pass. Every registered faultpoint site is exercised
-//! here (see the table in `elivagar_sim::faultpoint`): panics inside the
-//! CNR replica fan-out and the RepCap fan-out, NaN poisoning of composite
-//! scores and training minibatches, torn checkpoint writes, and a
-//! simulated process kill right after a checkpoint save — followed by a
-//! resume that must land on a bit-identical final ranking.
+//! Every registered faultpoint site is exercised here (see the table in
+//! `elivagar_sim::faultpoint`): panics inside the CNR replica fan-out and
+//! the RepCap fan-out, NaN poisoning of composite scores and training
+//! minibatches, torn checkpoint writes, and a simulated process kill right
+//! after a checkpoint save — followed by a resume that must land on a
+//! bit-identical final ranking.
 //!
-//! The faultpoint registry is process-global, so every test serializes on
-//! a local mutex and disarms on entry and exit.
-
-#![cfg(feature = "fault-injection")]
+//! The faultpoint registry is process-global, so every test holds
+//! `faultpoint::exclusive()`, which also disarms on entry and exit.
 
 use elivagar::checkpoint::CheckpointError;
 use elivagar::config::{Nsga2Config, SearchConfig};
-use elivagar::search::{run_search, RunOptions, SearchError, SearchStage};
+use elivagar::search::{run_search, RunOptions, SearchError, SearchResult, SearchStage};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::{moons, Dataset};
 use elivagar_device::devices::ibm_lagos;
@@ -24,37 +21,7 @@ use elivagar_device::Device;
 use elivagar_ml::{try_train, QuantumClassifier, TrainConfig, TrainError};
 use elivagar_sim::faultpoint::{self, FaultKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// The faultpoint registry is process-global; chaos tests must not
-/// interleave.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Injected panics are expected noise here; keep the default hook for
-/// everything else (real test failures must still print).
-fn silence_faultpoint_panics() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.contains("faultpoint") {
-                default(info);
-            }
-        }));
-    });
-}
+use std::path::{Path, PathBuf};
 
 fn setup() -> (Device, Dataset, SearchConfig) {
     let device = ibm_lagos();
@@ -80,12 +47,51 @@ fn scratch(name: &str) -> PathBuf {
     p
 }
 
+/// Drives the search into the checkpoint at `path` the way the serve
+/// daemon slices it: `k - 1` two-record slices, each resumed from the
+/// checkpoint the last one saved, then slice `k`, killed at its first save
+/// (an injected panic at `search::checkpoint` key 1). Returns the length
+/// of the journal the kill left on disk.
+fn kill_in_slice(
+    (device, dataset, config): (&Device, &Dataset, &SearchConfig),
+    options: &RunOptions,
+    path: &Path,
+    k: u64,
+) -> usize {
+    let _ = std::fs::remove_file(path);
+    let slice = || {
+        let mut sliced = options.clone().with_checkpoint(path).with_slice_budget(2);
+        if path.exists() {
+            sliced = sliced.with_resume(path);
+        }
+        catch_unwind(AssertUnwindSafe(|| run_search(device, dataset, config, &sliced)))
+    };
+    for _ in 1..k {
+        let stopped = slice().expect("an unarmed slice does not panic");
+        assert!(matches!(stopped, Err(SearchError::Interrupted { .. })), "slice ran past its budget");
+    }
+    faultpoint::arm_on_key("search::checkpoint", FaultKind::Panic, 1);
+    let payload = slice().expect_err("the kill faultpoint fires");
+    let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("faultpoint 'search::checkpoint' fired"), "unexpected panic: {msg}");
+    elivagar::checkpoint::load(path).expect("the kill leaves a whole journal").len()
+}
+
+/// Resumes the search from the checkpoint at `path` to completion.
+fn resume(
+    (device, dataset, config): (&Device, &Dataset, &SearchConfig),
+    options: &RunOptions,
+    path: &Path,
+) -> SearchResult {
+    let options = options.clone().with_checkpoint(path).with_resume(path);
+    run_search(device, dataset, config, &options).expect("resumed run completes")
+}
+
 /// Panics injected into the CNR replica fan-out quarantine the affected
 /// candidates; the search still completes and reports them.
 #[test]
 fn cnr_replica_panics_quarantine_candidates() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
 
     // Keys at this site are per-replica RNG seeds, so which candidates
@@ -94,7 +100,6 @@ fn cnr_replica_panics_quarantine_candidates() {
     // extremes rare), then pin the behavior with hard assertions.
     let mut exercised = false;
     for arming_seed in 0..20 {
-        faultpoint::disarm_all();
         faultpoint::arm("cnr::replica", FaultKind::Panic, arming_seed, 0.05);
         let outcome = run_search(&device, &dataset, &config, &RunOptions::default());
         let Ok(result) = outcome else { continue };
@@ -122,17 +127,14 @@ fn cnr_replica_panics_quarantine_candidates() {
         break;
     }
     assert!(exercised, "no arming seed produced a partial quarantine");
-    faultpoint::disarm_all();
 }
 
 /// A panic in one candidate's RepCap evaluation removes exactly that
 /// candidate; the winner comes from the survivors.
 #[test]
 fn repcap_panic_quarantines_exactly_the_faulted_candidate() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup_all_survive();
-    faultpoint::disarm_all();
     faultpoint::arm_on_key("repcap::eval", FaultKind::Panic, 2);
 
     let result =
@@ -150,16 +152,14 @@ fn repcap_panic_quarantines_exactly_the_faulted_candidate() {
     assert!(unscored[0].cnr.is_some());
     assert!(unscored[0].repcap.is_none());
     assert_eq!(result.scored.iter().filter(|s| s.score.is_some()).count(), 5);
-    faultpoint::disarm_all();
 }
 
 /// Satellite regression: an injected NaN composite score is quarantined
 /// and the ranking sort survives (the old comparator panicked on it).
 #[test]
 fn nan_score_is_quarantined_not_fatal() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup_all_survive();
-    faultpoint::disarm_all();
     faultpoint::arm_on_key("search::score", FaultKind::Nan, 1);
 
     let result =
@@ -175,16 +175,14 @@ fn nan_score_is_quarantined_not_fatal() {
     assert!(last.cnr.is_some() && last.repcap.is_some());
     assert!(last.score.is_none());
     assert!(result.scored[0].score.is_some());
-    faultpoint::disarm_all();
 }
 
 /// When every composite score is poisoned the search fails with a typed
 /// error listing all quarantined candidates — never a panic.
 #[test]
 fn all_nan_scores_is_a_typed_error() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup_all_survive();
-    faultpoint::disarm_all();
     faultpoint::arm("search::score", FaultKind::Nan, 0, 1.0);
 
     let err = run_search(&device, &dataset, &config, &RunOptions::default())
@@ -196,7 +194,6 @@ fn all_nan_scores_is_a_typed_error() {
         }
         other => panic!("unexpected error: {other}"),
     }
-    faultpoint::disarm_all();
 }
 
 fn tiny_model() -> (QuantumClassifier, Dataset) {
@@ -214,10 +211,9 @@ fn tiny_model() -> (QuantumClassifier, Dataset) {
 /// consumes it; the bounded retry re-initializes and recovers.
 #[test]
 fn poisoned_training_batch_recovers_via_retry() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (model, data) = tiny_model();
     let config = TrainConfig { epochs: 2, batch_size: 20, ..Default::default() };
-    faultpoint::disarm_all();
     // Keys encode (attempt << 48) | batch counter: key 0 poisons only the
     // very first batch of attempt 0, so the retry runs clean.
     faultpoint::arm_on_key("train::batch", FaultKind::Nan, 0);
@@ -225,17 +221,15 @@ fn poisoned_training_batch_recovers_via_retry() {
     let outcome = try_train(&model, data.train(), &config).expect("retry recovers");
     assert_eq!(faultpoint::fired("train::batch"), 1);
     assert!(outcome.loss_history.iter().all(|l| l.is_finite()));
-    faultpoint::disarm_all();
 }
 
 /// When every batch of every attempt is poisoned, training fails with the
 /// typed divergence error after exhausting its retries.
 #[test]
 fn unrecoverable_training_divergence_is_a_typed_error() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (model, data) = tiny_model();
     let config = TrainConfig { epochs: 2, batch_size: 20, ..Default::default() };
-    faultpoint::disarm_all();
     faultpoint::arm("train::batch", FaultKind::Nan, 7, 1.0);
 
     let err = try_train(&model, data.train(), &config).expect_err("all attempts diverge");
@@ -245,17 +239,15 @@ fn unrecoverable_training_divergence_is_a_typed_error() {
         }
         other => panic!("unexpected error: {other}"),
     }
-    faultpoint::disarm_all();
 }
 
 /// A torn checkpoint write (truncation after the rename) is detected by
 /// the CRC footer on the next resume — corrupt journals never load.
 #[test]
 fn torn_checkpoint_write_is_detected_on_resume() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
     let path = scratch("torn");
-    faultpoint::disarm_all();
     faultpoint::arm("checkpoint::commit", FaultKind::TruncateFile, 0, 1.0);
 
     // The run itself completes: truncation models a crash *after* the
@@ -280,9 +272,9 @@ fn torn_checkpoint_write_is_detected_on_resume() {
 /// bit-identical to an uninterrupted run under the same faults.
 #[test]
 fn kill_and_resume_under_fire_is_bit_identical() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup_all_survive();
+    let task = (&device, &dataset, &config);
     let path = scratch("kill-resume");
 
     // Ambient fault: candidate 2's RepCap evaluation always panics.
@@ -296,50 +288,26 @@ fn kill_and_resume_under_fire_is_bit_identical() {
         .expect("uninterrupted faulted run");
     assert_eq!(baseline.quarantined.len(), 1);
 
-    // With checkpoint_every = 2 the run saves after each 2-candidate CNR
-    // chunk and each RepCap chunk; kill after the 1st through 4th save to
-    // cross both stage boundaries.
-    for kill_after in 1..=4 {
-        let _ = std::fs::remove_file(&path);
+    // 6 CNR records, then 6 RepCap records: a kill in slice k leaves 2k,
+    // mid-CNR (2, 4), at the CNR -> RepCap boundary (6) and mid-RepCap (8).
+    for k in 1..=4 {
         arm_ambient();
-        faultpoint::arm_on_key("search::checkpoint", FaultKind::Panic, kill_after);
-        let options = RunOptions::new().with_checkpoint(path.clone()).with_checkpoint_every(2);
-        let killed = catch_unwind(AssertUnwindSafe(|| {
-            run_search(&device, &dataset, &config, &options)
-        }));
-        let payload = killed.expect_err("the kill faultpoint fires");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("faultpoint 'search::checkpoint' fired"),
-            "unexpected panic: {msg}"
-        );
+        let records = kill_in_slice(task, &RunOptions::new(), &path, k);
+        assert_eq!(records as u64, 2 * k, "kill in slice {k}");
 
         // Restart: same ambient fault, kill disarmed, journal on disk.
         arm_ambient();
-        let resumed = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions::new()
-                .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
-                .with_resume(path.clone()),
-        )
-        .expect("resumed run completes");
-        assert_eq!(resumed, baseline, "kill after save {kill_after}");
+        let resumed = resume(task, &RunOptions::new(), &path);
+        assert_eq!(resumed, baseline, "kill in slice {k}");
         for (a, b) in resumed.scored.iter().zip(baseline.scored.iter()) {
             assert_eq!(
                 a.score.map(f64::to_bits),
                 b.score.map(f64::to_bits),
-                "resume must be bit-identical (kill after save {kill_after})"
+                "resume must be bit-identical (kill in slice {k})"
             );
         }
     }
     let _ = std::fs::remove_file(&path);
-    faultpoint::disarm_all();
 }
 
 /// The evolutionary analogue of [`kill_and_resume_under_fire_is_bit_identical`]:
@@ -350,10 +318,10 @@ fn kill_and_resume_under_fire_is_bit_identical() {
 /// uninterrupted run's ranking *and* Pareto front bit for bit.
 #[test]
 fn nsga2_kill_and_resume_under_fire_is_bit_identical() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
     let config = config.with_nsga2(Nsga2Config::default().with_population(6).with_generations(2));
+    let task = (&device, &dataset, &config);
     let path = scratch("nsga2-kill-resume");
 
     // Ambient fault: founder candidate 2's RepCap evaluation always
@@ -372,53 +340,33 @@ fn nsga2_kill_and_resume_under_fire_is_bit_identical() {
     let baseline_front = baseline.pareto.as_ref().expect("nsga2 surfaces a front");
     assert!(baseline_front.members.len() >= 2, "front must be non-degenerate");
 
-    // With checkpoint_every = 2 each round saves 3 CNR chunks and 3
-    // RepCap chunks, and rounds 0/1 add a generation-marker save: kill
-    // after saves 2 (mid-CNR, round 0), 7 (generation boundary), 11
-    // (mid-RepCap, round 1), and 16 (mid-CNR, round 2).
-    for kill_after in [2u64, 7, 11, 16] {
-        let _ = std::fs::remove_file(&path);
+    // Each round journals 6 CNR and 6 RepCap records, and rounds 0 and 1
+    // a generation marker. Slice 7's first save commits round 0's marker
+    // (13 records). A resumed slice of a later round first re-commits the
+    // markers it replays, so its first save rewrites the journal the last
+    // slice left. Kills in slices 2, 7, 11 and 16 leave 4 records
+    // (mid-CNR, round 0), 13 (the generation boundary), 20 (mid-RepCap,
+    // round 1) and 30 (mid-CNR, round 2).
+    for (k, kill_records) in [(2u64, 4usize), (7, 13), (11, 20), (16, 30)] {
         arm_ambient();
-        faultpoint::arm_on_key("search::checkpoint", FaultKind::Panic, kill_after);
-        let options = RunOptions::new().with_checkpoint(path.clone()).with_checkpoint_every(2);
-        let killed = catch_unwind(AssertUnwindSafe(|| {
-            run_search(&device, &dataset, &config, &options)
-        }));
-        let payload = killed.expect_err("the kill faultpoint fires");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("faultpoint 'search::checkpoint' fired"),
-            "unexpected panic: {msg}"
-        );
+        let records = kill_in_slice(task, &RunOptions::new(), &path, k);
+        assert_eq!(records, kill_records, "kill in slice {k}");
 
         arm_ambient();
-        let resumed = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions::new()
-                .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
-                .with_resume(path.clone()),
-        )
-        .expect("resumed evolution completes");
-        assert_eq!(resumed, baseline, "kill after save {kill_after}");
+        let resumed = resume(task, &RunOptions::new(), &path);
+        assert_eq!(resumed, baseline, "kill in slice {k}");
         let front = resumed.pareto.as_ref().expect("front survives resume");
         assert_eq!(front.members.len(), baseline_front.members.len());
         for (a, b) in front.members.iter().zip(baseline_front.members.iter()) {
-            assert_eq!(a.index, b.index, "front membership (kill after save {kill_after})");
+            assert_eq!(a.index, b.index, "front membership (kill in slice {k})");
             assert_eq!(
                 a.score.map(f64::to_bits),
                 b.score.map(f64::to_bits),
-                "front scores must be bit-identical (kill after save {kill_after})"
+                "front scores must be bit-identical (kill in slice {k})"
             );
         }
     }
     let _ = std::fs::remove_file(&path);
-    faultpoint::disarm_all();
 }
 
 fn counter(stats: &elivagar_obs::RunStats, name: &str) -> u64 {
@@ -435,11 +383,10 @@ fn counter(stats: &elivagar_obs::RunStats, name: &str) -> u64 {
 /// counting the discards.
 #[test]
 fn torn_cache_writes_degrade_to_recompute() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
     let dir = scratch("cache-torn");
     let _ = std::fs::remove_dir_all(&dir);
-    faultpoint::disarm_all();
 
     let baseline =
         run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
@@ -486,60 +433,33 @@ fn torn_cache_writes_degrade_to_recompute() {
 /// for bit.
 #[test]
 fn kill_and_resume_with_shared_cache_is_bit_identical() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
+    let task = (&device, &dataset, &config);
     let path = scratch("cache-kill-resume");
     let dir = scratch("cache-kill-dir");
     let _ = std::fs::remove_dir_all(&dir);
 
-    faultpoint::disarm_all();
     let baseline =
         run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
 
     // One cache directory across every attempt: the second kill round
     // starts with a cold journal but a warm cache, crossing the
-    // resume-from-journal and serve-from-cache paths at once.
-    let cache = elivagar::Cache::open(&dir).expect("open cache");
-    for kill_after in [1u64, 3] {
-        let _ = std::fs::remove_file(&path);
-        faultpoint::disarm_all();
-        faultpoint::arm_on_key("search::checkpoint", FaultKind::Panic, kill_after);
-        let options = RunOptions::new()
-            .with_checkpoint(path.clone())
-            .with_checkpoint_every(2)
-            .with_cache(cache.clone());
-        let killed = catch_unwind(AssertUnwindSafe(|| {
-            run_search(&device, &dataset, &config, &options)
-        }));
-        let payload = killed.expect_err("the kill faultpoint fires");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("faultpoint 'search::checkpoint' fired"),
-            "unexpected panic: {msg}"
-        );
+    // resume-from-journal and serve-from-cache paths at once. Kills in
+    // slices 1 and 3 leave 2 CNR records and all 6.
+    let cached = RunOptions::new().with_cache(elivagar::Cache::open(&dir).expect("open cache"));
+    for (k, kill_records) in [(1u64, 2usize), (3, 6)] {
+        let records = kill_in_slice(task, &cached, &path, k);
+        assert_eq!(records, kill_records, "kill in slice {k}");
 
         faultpoint::disarm_all();
-        let resumed = run_search(
-            &device,
-            &dataset,
-            &config,
-            &RunOptions::new()
-                .with_checkpoint(path.clone())
-                .with_checkpoint_every(2)
-                .with_resume(path.clone())
-                .with_cache(cache.clone()),
-        )
-        .expect("resumed run completes");
-        assert_eq!(resumed, baseline, "kill after save {kill_after}");
+        let resumed = resume(task, &cached, &path);
+        assert_eq!(resumed, baseline, "kill in slice {k}");
         for (a, b) in resumed.scored.iter().zip(baseline.scored.iter()) {
             assert_eq!(
                 a.score.map(f64::to_bits),
                 b.score.map(f64::to_bits),
-                "shared-cache resume must be bit-identical (kill after save {kill_after})"
+                "shared-cache resume must be bit-identical (kill in slice {k})"
             );
         }
     }
@@ -553,8 +473,7 @@ fn kill_and_resume_with_shared_cache_is_bit_identical() {
 /// complete.
 #[test]
 fn cohort_training_panic_quarantines_the_cohort() {
-    let _g = lock();
-    silence_faultpoint_panics();
+    let _g = faultpoint::exclusive();
     let (device, dataset, config) = setup();
     let config = config.with_train(TrainConfig {
         epochs: 2,
@@ -562,7 +481,6 @@ fn cohort_training_panic_quarantines_the_cohort() {
         cohort: 2,
         ..TrainConfig::default()
     });
-    faultpoint::disarm_all();
     // Keys at this site are epoch numbers: the very first fused epoch dies.
     faultpoint::arm_on_key("train::cohort_epoch", FaultKind::Panic, 0);
 

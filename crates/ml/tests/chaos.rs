@@ -1,25 +1,14 @@
 //! Chaos cases for the training loop: NaN poisoning at the `train::batch`
 //! faultpoint, driven through a fused cohort and through one-member runs.
 //!
-//! Runs only with `--features fault-injection`; `scripts/verify.sh` drives
-//! it as a dedicated pass. The faultpoint registry is process-global, so
-//! every test serializes on a local mutex and disarms on entry and exit.
-
-#![cfg(feature = "fault-injection")]
+//! The faultpoint registry is process-global, so every test holds
+//! `faultpoint::exclusive()`, which also disarms on entry and exit.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::{moons, Dataset};
 use elivagar_ml::{train_cohort, try_train, QuantumClassifier, TrainConfig, TrainError};
 use elivagar_sim::faultpoint::{self, FaultKind};
 use elivagar_sim::TaskSeeds;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn layered_model(qubits: usize, layers: usize) -> QuantumClassifier {
     let mut c = Circuit::new(qubits);
@@ -55,9 +44,8 @@ fn setup() -> (Vec<QuantumClassifier>, Dataset, TrainConfig) {
 /// fires once per member: nothing replays attempt 0.
 #[test]
 fn poisoned_first_batch_recovers_in_one_fused_retry_round() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (models, data, config) = setup();
-    faultpoint::disarm_all();
     faultpoint::arm_on_key("train::batch", FaultKind::Nan, 0);
     let fused = train_cohort(&models, data.train(), &config);
     assert_eq!(faultpoint::fired("train::batch"), 3);
@@ -84,7 +72,6 @@ fn poisoned_first_batch_recovers_in_one_fused_retry_round() {
         let failed_batch = config.batch_size as u64;
         assert_eq!(member.outcome.executions, clean.executions + failed_batch);
     }
-    faultpoint::disarm_all();
 }
 
 /// With every batch poisoned, each member exhausts its retries and fails
@@ -93,10 +80,9 @@ fn poisoned_first_batch_recovers_in_one_fused_retry_round() {
 /// attempt.
 #[test]
 fn unrecoverable_divergence_fails_each_member_like_its_solo_run() {
-    let _g = lock();
+    let _g = faultpoint::exclusive();
     let (models, data, config) = setup();
     let attempts = config.nan_retries + 1;
-    faultpoint::disarm_all();
     faultpoint::arm("train::batch", FaultKind::Nan, 7, 1.0);
     let fused = train_cohort(&models, data.train(), &config);
     assert_eq!(faultpoint::fired("train::batch"), (models.len() * attempts) as u64);
@@ -110,5 +96,4 @@ fn unrecoverable_divergence_fails_each_member_like_its_solo_run() {
         assert_eq!(result, Err(expected.clone()));
         assert_eq!(try_train(model, data.train(), &config), Err(expected.clone()));
     }
-    faultpoint::disarm_all();
 }

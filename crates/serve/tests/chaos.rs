@@ -1,8 +1,6 @@
 //! Chaos suite for the serve daemon: deterministic kills and torn writes
-//! against the scheduler's own durability machinery.
-//!
-//! Runs only with `--features fault-injection`; `scripts/verify.sh` drives
-//! it as part of the chaos pass. Three failure families:
+//! against the scheduler's own durability machinery. Three failure
+//! families:
 //!
 //! * `serve::tick` panics — the daemon dies *between* slices at chosen
 //!   ticks; a reopened daemon must finish every job bit-identically.
@@ -13,41 +11,14 @@
 //!   backoff and dead-letters with a typed reason once the budget is
 //!   spent; nothing is silently lost.
 //!
-//! The faultpoint registry is process-global, so every test serializes on
-//! a local mutex and disarms on entry and exit.
+//! The faultpoint registry is process-global, so every test holds
+//! `faultpoint::exclusive()`, which also disarms on entry and exit.
 
-#![cfg(feature = "fault-injection")]
-
-use elivagar_serve::{Daemon, FailKind, JobResult, JobSpec, JobState, ServeConfig};
+use elivagar_serve::journal::{self, SliceCommitted};
+use elivagar_serve::{Daemon, FailKind, JobEvent, JobResult, JobSpec, JobState, ServeConfig};
 use elivagar_sim::faultpoint::{self, FaultKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-fn silence_faultpoint_panics() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.contains("faultpoint") {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn scratch(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -112,9 +83,7 @@ fn baseline(name: &str) -> (PathBuf, Vec<JobResult>) {
 /// lost: every fleet id ends `Done`.
 #[test]
 fn daemon_killed_between_slices_resumes_bit_identically() {
-    let _g = lock();
-    silence_faultpoint_panics();
-    faultpoint::disarm_all();
+    let _g = faultpoint::exclusive();
     let (base_dir, expected) = baseline("tick-kill-base");
 
     for kill_tick in [1, 2, 3, 5, 8] {
@@ -152,9 +121,7 @@ fn daemon_killed_between_slices_resumes_bit_identically() {
 /// respool and drain, every job is `Done` with bit-identical results.
 #[test]
 fn torn_journal_append_recovers_prefix_and_loses_no_job() {
-    let _g = lock();
-    silence_faultpoint_panics();
-    faultpoint::disarm_all();
+    let _g = faultpoint::exclusive();
     let (base_dir, expected) = baseline("torn-base");
 
     for tear_at in [2, 4, 7] {
@@ -194,9 +161,7 @@ fn torn_journal_append_recovers_prefix_and_loses_no_job() {
 /// typed `Panic` reason; healthy jobs in the same queue still finish.
 #[test]
 fn persistent_slice_panic_dead_letters_with_typed_reason() {
-    let _g = lock();
-    silence_faultpoint_panics();
-    faultpoint::disarm_all();
+    let _g = faultpoint::exclusive();
 
     let dir = scratch("dead-letter");
     let mut config = config_for(&dir);
@@ -247,4 +212,28 @@ fn persistent_slice_panic_dead_letters_with_typed_reason() {
     assert_eq!(daemon.stats().dead_letter, 1);
     assert_eq!(daemon.verify_conservation(), None);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A torn append (the `serve::journal_append` site chops the third line in
+/// half) is recovered on reopen: the valid prefix loads and the tear is
+/// reported.
+#[test]
+fn torn_append_faultpoint_is_recovered_on_reopen() {
+    let _g = faultpoint::exclusive();
+    let path = scratch("faultpoint-tear");
+    let events: Vec<JobEvent> = (0..5)
+        .map(|records| JobEvent::SliceCommitted(SliceCommitted { id: "a".into(), records }))
+        .collect();
+    faultpoint::arm_on_key("serve::journal_append", FaultKind::TruncateFile, 3);
+    let (_, _, mut writer) = journal::open(&path).unwrap();
+    for event in &events {
+        writer.append(event).unwrap();
+    }
+    drop(writer);
+    let (loaded, recovered, _) = journal::load(&path).unwrap();
+    // The third append was torn; later appends landed after the tear
+    // and are unreadable, so the valid prefix is the first two.
+    assert_eq!(loaded, events[..2].to_vec());
+    assert!(recovered.dropped_records >= 1, "{recovered:?}");
+    std::fs::remove_file(&path).unwrap();
 }

@@ -3,8 +3,7 @@
 //! plus a real `SIGKILL` against the `elivagar-served` binary).
 //!
 //! Everything here runs without fault injection; the chaos suite
-//! (`tests/chaos.rs`, `--features fault-injection`) covers kills and torn
-//! writes at armed faultpoints.
+//! (`tests/chaos.rs`) covers kills and torn writes at armed faultpoints.
 
 use elivagar::checkpoint::crc32;
 use elivagar_serve::{

@@ -14,9 +14,9 @@
 //! journaled, and on resume the *same* candidates fire (or are found in
 //! the journal with the same outcome).
 //!
-//! The registry is compiled in under `cfg(any(test, feature =
-//! "fault-injection"))`. In production builds every call site below is an
-//! inlined no-op, so faultpoints cost nothing on hot paths.
+//! The registry is compiled into every build; while nothing is armed, a
+//! hit returns after one relaxed load. It is process-global, so a test
+//! that arms sites holds [`exclusive`] for its whole body.
 //!
 //! Registered sites (kept in sync with DESIGN.md):
 //!
@@ -33,6 +33,10 @@
 //! | `serve::journal_append` | TruncateFile | after a daemon journal append |
 //! | `cache::store`       | TruncateFile | after a result-cache entry write  |
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, Once};
+
 /// What an armed faultpoint does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -44,116 +48,132 @@ pub enum FaultKind {
     TruncateFile,
 }
 
-#[cfg(any(test, feature = "fault-injection"))]
-mod registry {
-    use super::FaultKind;
-    use std::collections::HashMap;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+/// When an armed faultpoint fires.
+#[derive(Clone, Copy, Debug)]
+enum Trigger {
+    /// Fire on hits whose SplitMix64-mixed `(seed, site, key)` draw falls
+    /// below `rate` — deterministic per key, ~`rate` of keys.
+    Probability { seed: u64, rate: f64 },
+    /// Fire exactly on hits carrying this key.
+    OnKey(u64),
+}
 
-    /// When an armed faultpoint fires.
-    #[derive(Clone, Copy, Debug)]
-    pub enum Trigger {
-        /// Fire on hits whose SplitMix64-mixed `(seed, site, key)` draw
-        /// falls below `rate` — deterministic per key, ~`rate` of keys.
-        Probability { seed: u64, rate: f64 },
-        /// Fire exactly on hits carrying this key.
-        OnKey(u64),
-    }
+struct Armed {
+    kind: FaultKind,
+    trigger: Trigger,
+    fired: u64,
+}
 
-    pub struct Armed {
-        pub kind: FaultKind,
-        pub trigger: Trigger,
-        pub fired: u64,
-    }
+/// Set while any site is armed, stored under the registry's lock. Relaxed:
+/// a hit that misses a concurrent arming ran before it.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
-    pub fn registry() -> MutexGuard<'static, HashMap<&'static str, Armed>> {
-        static REG: OnceLock<Mutex<HashMap<&'static str, Armed>>> = OnceLock::new();
-        REG.get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("faultpoint registry poisoned")
-    }
+fn registry() -> MutexGuard<'static, BTreeMap<&'static str, Armed>> {
+    static REGISTRY: Mutex<BTreeMap<&'static str, Armed>> = Mutex::new(BTreeMap::new());
+    REGISTRY.lock().expect("faultpoint registry poisoned")
+}
 
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
-    fn site_hash(site: &str) -> u64 {
-        // FNV-1a: stable across runs and platforms.
-        site.bytes()
-            .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-    }
+fn site_hash(site: &str) -> u64 {
+    // FNV-1a: stable across runs and platforms.
+    site.bytes()
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
 
-    /// Pure firing decision for one `(site, key)` hit.
-    pub fn decides(trigger: Trigger, site: &str, key: u64) -> bool {
-        match trigger {
-            Trigger::OnKey(k) => key == k,
-            Trigger::Probability { seed, rate } => {
-                let draw = splitmix(seed ^ site_hash(site) ^ splitmix(key));
-                // Top 53 bits to a unit float.
-                ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
-            }
+/// Pure firing decision for one `(site, key)` hit.
+fn decides(trigger: Trigger, site: &str, key: u64) -> bool {
+    match trigger {
+        Trigger::OnKey(k) => key == k,
+        Trigger::Probability { seed, rate } => {
+            let draw = splitmix(seed ^ site_hash(site) ^ splitmix(key));
+            // Top 53 bits to a unit float.
+            ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
         }
     }
+}
 
-    /// Checks whether `(site, key)` fires a fault of `kind`, updating the
-    /// fired counter. Decision is independent of call order.
-    pub fn fires(site: &'static str, key: u64, kind: FaultKind) -> bool {
-        let mut reg = registry();
-        let Some(armed) = reg.get_mut(site) else {
-            return false;
-        };
-        if armed.kind != kind || !decides(armed.trigger, site, key) {
-            return false;
-        }
-        armed.fired += 1;
-        true
+/// Whether `(site, key)` fires a `kind` fault (in any call order); counts it.
+#[cold]
+fn fires(site: &'static str, key: u64, kind: FaultKind) -> bool {
+    let mut reg = registry();
+    let Some(armed) = reg.get_mut(site) else {
+        return false;
+    };
+    if armed.kind != kind || !decides(armed.trigger, site, key) {
+        return false;
     }
+    armed.fired += 1;
+    true
 }
 
 // ---- arming (test / chaos-suite side) --------------------------------------
 
+fn insert(site: &'static str, kind: FaultKind, trigger: Trigger) {
+    let mut reg = registry();
+    reg.insert(site, Armed { kind, trigger, fired: 0 });
+    ARMED.store(true, Ordering::Relaxed);
+}
+
 /// Arms `site` to fire probabilistically: a hit with key `k` fires iff the
 /// deterministic mix of `(seed, site, k)` falls below `rate`.
-#[cfg(any(test, feature = "fault-injection"))]
 pub fn arm(site: &'static str, kind: FaultKind, seed: u64, rate: f64) {
-    registry::registry().insert(
-        site,
-        registry::Armed {
-            kind,
-            trigger: registry::Trigger::Probability { seed, rate },
-            fired: 0,
-        },
-    );
+    insert(site, kind, Trigger::Probability { seed, rate });
 }
 
 /// Arms `site` to fire exactly on hits carrying `key`.
-#[cfg(any(test, feature = "fault-injection"))]
 pub fn arm_on_key(site: &'static str, kind: FaultKind, key: u64) {
-    registry::registry().insert(
-        site,
-        registry::Armed {
-            kind,
-            trigger: registry::Trigger::OnKey(key),
-            fired: 0,
-        },
-    );
+    insert(site, kind, Trigger::OnKey(key));
 }
 
-/// Disarms every faultpoint. Chaos tests call this on entry and exit.
-#[cfg(any(test, feature = "fault-injection"))]
+/// Disarms every faultpoint.
 pub fn disarm_all() {
-    registry::registry().clear();
+    let mut reg = registry();
+    reg.clear();
+    ARMED.store(false, Ordering::Relaxed);
 }
 
 /// How many times `site` has fired since it was armed.
-#[cfg(any(test, feature = "fault-injection"))]
 pub fn fired(site: &str) -> u64 {
-    registry::registry().get(site).map_or(0, |a| a.fired)
+    registry().get(site).map_or(0, |a| a.fired)
+}
+
+/// A test's exclusive hold on the registry (see [`exclusive`]).
+#[must_use = "the registry is exclusive only while the guard lives"]
+pub struct Exclusive {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        disarm_all();
+    }
+}
+
+/// Waits until no other [`Exclusive`] lives, then holds the registry until
+/// the guard drops, disarming every site now and on drop (a failing test
+/// included). The first call installs a panic hook that keeps [`hit`]'s
+/// panics out of test output and passes every other panic on.
+pub fn exclusive() -> Exclusive {
+    static LOCK: Mutex<()> = Mutex::new(());
+    static QUIET_HOOK: Once = Once::new();
+    QUIET_HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| match info.payload().downcast_ref::<String>() {
+            Some(message) if message.starts_with("faultpoint '") => {}
+            _ => previous(info),
+        }));
+    });
+    let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    disarm_all();
+    Exclusive { _lock: lock }
 }
 
 // ---- call sites (production side) ------------------------------------------
@@ -162,88 +182,85 @@ pub fn fired(site: &str) -> u64 {
 /// candidate index) so firing is reproducible across runs and resumes.
 #[inline]
 pub fn hit(site: &'static str, key: u64) {
-    #[cfg(any(test, feature = "fault-injection"))]
-    if registry::fires(site, key, FaultKind::Panic) {
+    if ARMED.load(Ordering::Relaxed) && fires(site, key, FaultKind::Panic) {
         panic!("faultpoint '{site}' fired (key {key})");
-    }
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    {
-        let _ = (site, key);
     }
 }
 
-/// Faultpoint that can replace a value with NaN. Returns `value` untouched
-/// unless the site is armed with [`FaultKind::Nan`] and `(site, key)`
-/// fires.
+/// Faultpoint that can replace a value with NaN: returns `value` unless the
+/// site is armed with [`FaultKind::Nan`] and `(site, key)` fires.
 #[inline]
 #[must_use]
 pub fn poison(site: &'static str, key: u64, value: f64) -> f64 {
-    #[cfg(any(test, feature = "fault-injection"))]
-    if registry::fires(site, key, FaultKind::Nan) {
+    if ARMED.load(Ordering::Relaxed) && fires(site, key, FaultKind::Nan) {
         return f64::NAN;
-    }
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    {
-        let _ = (site, key);
     }
     value
 }
 
-/// Whether the site should truncate the file it just wrote (torn-write
-/// simulation). Always `false` in production builds.
+/// Whether an armed site should truncate the file it just wrote (a torn write).
 #[inline]
 #[must_use]
 pub fn wants_truncation(site: &'static str, key: u64) -> bool {
-    #[cfg(any(test, feature = "fault-injection"))]
-    {
-        registry::fires(site, key, FaultKind::TruncateFile)
-    }
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    {
-        let _ = (site, key);
-        false
-    }
+    ARMED.load(Ordering::Relaxed) && fires(site, key, FaultKind::TruncateFile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The registry is process-global; serialize tests that touch it.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    use std::time::Duration;
 
     #[test]
     fn unarmed_sites_are_inert() {
-        let _g = lock();
-        disarm_all();
+        let _g = exclusive();
         hit("test::nowhere", 0);
         assert_eq!(poison("test::nowhere", 1, 0.5), 0.5);
         assert!(!wants_truncation("test::nowhere", 2));
     }
 
+    /// A disarmed hit must not wait on the registry: with its lock held
+    /// here, hits on another thread still return. A hit that locked would
+    /// time out and fail the test rather than hang it.
+    #[test]
+    fn disarmed_hits_never_take_the_registry_lock() {
+        let _g = exclusive();
+        let held = registry();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let hits = std::thread::spawn(move || {
+            hit("test::locked", 0);
+            let _ = tx.send((poison("test::locked", 1, 0.5), wants_truncation("test::locked", 2)));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        hits.join().expect("the hit thread finishes once the lock is free");
+        assert_eq!(outcome, Ok((0.5, false)), "a disarmed hit waited on the registry lock");
+    }
+
+    #[test]
+    fn dropping_the_guard_disarms() {
+        let guard = exclusive();
+        arm_on_key("test::left", FaultKind::Nan, 0);
+        assert!(poison("test::left", 0, 1.0).is_nan());
+        drop(guard);
+        // Another test may take the guard in between, but it disarms too,
+        // so only a guard that leaves its sites armed can fail this.
+        assert_eq!(poison("test::left", 0, 1.0), 1.0);
+    }
+
     #[test]
     fn on_key_fires_exactly_once_per_matching_key() {
-        let _g = lock();
-        disarm_all();
+        let _g = exclusive();
         arm_on_key("test::kill", FaultKind::Panic, 3);
         hit("test::kill", 0);
         hit("test::kill", 2);
         let r = std::panic::catch_unwind(|| hit("test::kill", 3));
         assert!(r.is_err());
         assert_eq!(fired("test::kill"), 1);
-        disarm_all();
     }
 
     #[test]
     fn probabilistic_firing_is_deterministic_per_key_and_order_free() {
-        let _g = lock();
-        disarm_all();
+        let _g = exclusive();
         arm("test::nan", FaultKind::Nan, 42, 0.5);
         let forward: Vec<bool> = (0..64).map(|k| poison("test::nan", k, 1.0).is_nan()).collect();
         // Re-arm and replay in reverse order: same per-key decisions.
@@ -259,17 +276,14 @@ mod tests {
             (8..=56).contains(&fired_keys),
             "rate 0.5 fired {fired_keys}/64"
         );
-        disarm_all();
     }
 
     #[test]
     fn kind_mismatch_never_fires() {
-        let _g = lock();
-        disarm_all();
+        let _g = exclusive();
         arm("test::kind", FaultKind::Nan, 1, 1.0);
         // A Panic-side hit must not fire a Nan-armed site.
         hit("test::kind", 7);
         assert!(poison("test::kind", 7, 2.0).is_nan());
-        disarm_all();
     }
 }

@@ -31,9 +31,9 @@
 //! * [`cancel`] — [`CancelToken`], the cooperative cancellation handle
 //!   long-running pipelines poll at slice/epoch boundaries (explicit
 //!   cancel or wall-clock deadline);
-//! * [`faultpoint`] — deterministic, seed-driven fault-injection sites
-//!   (panics, NaNs, torn file writes) compiled in only under tests or the
-//!   `fault-injection` feature, driving the chaos suite;
+//! * [`faultpoint`] — deterministic, seed-driven sites where the chaos
+//!   suites inject faults (panics, NaNs, torn file writes), compiled into
+//!   every build; a disarmed hit costs one relaxed load;
 //! * [`oracle`] — the plain reference implementations (walk-the-circuit
 //!   adjoint, per-shot tableau trajectories) that tests and benches
 //!   compare the production paths against. Production code never calls

@@ -35,11 +35,6 @@ run_counted() {
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# The same lint over the fault-injection build, which compiles the chaos
-# suites and the faultpoint-only code that default builds leave out.
-cargo clippy --workspace --all-targets \
-  --features elivagar/fault-injection,elivagar-ml/fault-injection,elivagar-serve/fault-injection,elivagar-cache/fault-injection \
-  -- -D warnings
 
 # Thread-count determinism matrix: every predictor must produce
 # bit-identical f64s at any pool size. ELIVAGAR_THREADS is read once at
@@ -125,13 +120,16 @@ for gate in bench_cnr bench_search bench_train bench_fusion bench_cache; do
   }
 done
 
-# Chaos pass: compile the fault-injection registry in and drive injected
-# panics, NaNs, torn checkpoint writes, and kill+resume through the full
-# pipeline (crates/elivagar/tests/chaos.rs), and poisoned minibatches
-# through the fused training loop's retry rounds (crates/ml/tests/chaos.rs).
-run_counted "chaos (elivagar)" cargo test -q -p elivagar --features fault-injection
-run_counted "chaos (elivagar-ml)" cargo test -q -p elivagar-ml --features fault-injection --test chaos
-run_counted "chaos (elivagar-serve)" cargo test -q -p elivagar-serve --features fault-injection
+# Chaos pass: injected panics, NaNs, torn checkpoint and cache writes, and
+# kill+resume through the full pipeline (crates/elivagar/tests/chaos.rs),
+# poisoned minibatches through the fused training loop's retry rounds
+# (crates/ml/tests/chaos.rs), and daemon kills and torn journal appends
+# (crates/serve/tests/chaos.rs). The workspace tests above already ran
+# them; counted one suite at a time, a suite compiled down to zero tests
+# fails here.
+for crate in elivagar elivagar-ml elivagar-serve; do
+  run_counted "chaos ($crate)" cargo test -q -p "$crate" --test chaos
+done
 
 # Serve pass: the search-as-a-service daemon must survive a real SIGKILL
 # mid-run at every thread count and, after a restart over the same state

@@ -37,8 +37,10 @@
 //! `search` runs the full pipeline (search, train, noisy evaluation) and
 //! prints the selected circuit as OpenQASM with the trained angles bound
 //! to the first test sample. Flags are checked before any work starts: a
-//! flag given without a value (last, or followed by another `--flag`) or
-//! a malformed or out-of-range number (`--priority 300`, `--params 0`,
+//! flag the subcommand does not take (`unknown flag <name>`, such as the
+//! typo `--candidate`), an argument that is no flag's value, a flag given
+//! without a value (last, or followed by another `--flag`) or a malformed
+//! or out-of-range number (`--priority 300`, `--params 0`,
 //! `--population 1`) exits 1 with a message. `--candidates`,
 //! `--params`, `--epochs`, `--train-batch` and `submit --slice-records`
 //! must be at least 1 and `--population` at least 2. `--checkpoint` journals
@@ -65,7 +67,7 @@ use elivagar_circuit::to_qasm;
 use elivagar_datasets::{load_sized, spec, BENCHMARKS};
 use elivagar_device::{all_devices, circuit_noise, device_by_name};
 use elivagar_ml::{accuracy, noisy_accuracy, QuantumClassifier, TrainConfig};
-use elivagar_serve::flags::{flag_value, parse_flag};
+use elivagar_serve::flags::{check_known, flag_value, parse_flag};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -85,6 +87,45 @@ fn usage() -> String {
     )
 }
 
+/// The flags `search` takes a value for; `--stats` is its one switch.
+const SEARCH_FLAGS: &[&str] = &[
+    "--benchmark",
+    "--device",
+    "--candidates",
+    "--params",
+    "--epochs",
+    "--seed",
+    "--strategy",
+    "--population",
+    "--generations",
+    "--train-batch",
+    "--train-topk",
+    "--checkpoint",
+    "--resume",
+    "--cache",
+    "--trace-out",
+];
+
+/// The flags `submit` takes a value for; it has no switches.
+const SUBMIT_FLAGS: &[&str] = &[
+    "--spool",
+    "--id",
+    "--benchmark",
+    "--device",
+    "--tenant",
+    "--cache-dir",
+    "--priority",
+    "--candidates",
+    "--seed",
+    "--train-size",
+    "--test-size",
+    "--epochs",
+    "--slice-records",
+    "--deadline-slices",
+    "--deadline-ms",
+    "--max-retries",
+];
+
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
         Ok(()) => ExitCode::SUCCESS,
@@ -100,6 +141,7 @@ fn main() -> ExitCode {
 fn run(args: Vec<String>) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("devices") => {
+            check_known(&args[1..], &[], &[])?;
             for d in all_devices() {
                 println!(
                     "{:<20} {:>4} qubits  median 2Q err {:.1e}",
@@ -110,6 +152,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
         }
         Some("benchmarks") => {
+            check_known(&args[1..], &[], &[])?;
             for b in BENCHMARKS {
                 println!(
                     "{:<10} {} classes, {} features, {} params, {} qubits",
@@ -118,6 +161,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
         }
         Some("search") => {
+            check_known(&args[1..], SEARCH_FLAGS, &["--stats"])?;
             let Some(bench_name) = flag_value(&args, "--benchmark")? else {
                 return Err(usage());
             };
@@ -305,6 +349,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
         }
         Some("submit") => {
+            check_known(&args[1..], SUBMIT_FLAGS, &[])?;
             let Some(spool) = flag_value(&args, "--spool")? else {
                 return Err(usage());
             };

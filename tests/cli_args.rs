@@ -1,6 +1,7 @@
-//! Flags of `elivagar-cli` are validated up front: a missing, malformed
-//! or out-of-range value is rejected with a message and exit code 1
-//! before any work starts, never silently replaced by the default.
+//! Flags of `elivagar-cli` are validated up front: an unknown flag or a
+//! missing, malformed or out-of-range value is rejected with a message and
+//! exit code 1 before any work starts, never silently replaced by the
+//! default.
 
 use std::process::Command;
 
@@ -143,6 +144,37 @@ fn flag_without_a_value_exits_with_code_1_before_any_work() {
         let left: Vec<_> =
             std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
         assert!(left.is_empty(), "submit {args:?} created {left:?}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
+fn unknown_flags_exit_with_code_1_before_any_work() {
+    // Typos of `--slice-records` and `--candidates`: ignored, they spooled
+    // a job at the daemon's default slice size, or ran a default
+    // 24-candidate, 60-epoch search.
+    let cwd = std::env::temp_dir().join(format!("elivagar-cli-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    for (args, flag) in [
+        (&["submit", "--spool", "spool", "--id", "x", "--slice-record", "3"][..], "--slice-record"),
+        (
+            &["search", "--benchmark", "moons", "--device", "ibm-lagos", "--candidate", "2", "--epoch", "1"],
+            "--candidate",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_elivagar-cli"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}:\n{stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed QASM");
+        let left: Vec<_> =
+            std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(left.is_empty(), "{args:?} created {left:?}");
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }
