@@ -50,7 +50,8 @@ fn main() -> ExitCode {
     let mut rng_tableau = StdRng::seed_from_u64(42);
     let frame_dist =
         noisy_clifford_distribution(&replica, &[], &[], &noise, TRAJECTORIES, &mut rng_frame)
-            .expect("clifford replica is clifford by construction");
+            .expect("clifford replica is clifford by construction")
+            .noisy;
     let tableau_dist = noisy_clifford_distribution_tableau(
         &replica,
         &[],

@@ -19,7 +19,9 @@
 //! golden was captured while `batch_gradient` still had a dispatch of its
 //! own, before it became a one-member cohort dispatch. The noisy-accuracy
 //! golden was captured while `noisy_accuracy` still ran its samples one
-//! after another, before they fanned out across the pool.
+//! after another, before they fanned out across the pool. The
+//! 600-trajectory frame golden was captured while the frame engine still
+//! had a const-generic block width, before it was fixed at 256 lanes.
 
 use elivagar::config::{Nsga2Config, SearchConfig};
 use elivagar::generate::generate_candidate;
@@ -342,31 +344,19 @@ fn clifford_trajectory_bits_are_thread_count_invariant() {
     c.set_measured(vec![0, 1]);
     let noise = CircuitNoise::uniform(&[1, 2], 2, 0.02, 0.05, 0.01);
     let mut rng = StdRng::seed_from_u64(17);
-    let dist = noisy_clifford_distribution(&c, &[], &[], &noise, 100, &mut rng).unwrap();
+    let dist = noisy_clifford_distribution(&c, &[], &[], &noise, 100, &mut rng).unwrap().noisy;
     assert_eq!(dist.len(), 4);
     for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
         assert_bits(d, bits, &format!("dist[{i}]"));
     }
 }
 
-/// Post-runtime golden: the bit-parallel Pauli-frame engine on a workload
-/// spanning multiple 64-lane blocks plus a ragged tail. The same call with
-/// the same seed must land on these bits at every `ELIVAGAR_THREADS`
-/// setting (frame blocks are reduced in block order), and the per-shot
-/// tableau reference must produce the identical distribution — the frame
-/// engine's exactness contract, pinned on a fixed workload.
-#[test]
-fn frame_engine_bits_are_thread_count_invariant() {
-    const DIST_BITS: [u64; 8] = [
-        0x3fc8d8ec95bff046,
-        0x3fac9c4da9003eeb,
-        0x3fac9c4da9003eeb,
-        0x3fc8d8ec95bff046,
-        0x3fc8d8ec95bff046,
-        0x3fac9c4da9003eeb,
-        0x3fac9c4da9003eeb,
-        0x3fc8d8ec95bff046,
-    ];
+/// Runs the frame golden workload (a 5-qubit GHZ chain with Pauli and
+/// readout noise, three measured qubits) for `trajectories` trajectories
+/// from `seed`, asserts the distribution's bits, and checks that the
+/// per-shot tableau reference reproduces them from the same seed — the
+/// frame engine's exactness contract, pinned on a fixed workload.
+fn assert_frame_golden(trajectories: usize, seed: u64, golden: &[u64; 8]) {
     let mut c = Circuit::new(5);
     c.push_gate(Gate::H, &[0], &[]);
     for q in 0..4 {
@@ -376,21 +366,62 @@ fn frame_engine_bits_are_thread_count_invariant() {
     c.push_gate(Gate::H, &[4], &[]);
     c.set_measured(vec![0, 2, 4]);
     let noise = CircuitNoise::uniform(&[1, 2, 2, 2, 2, 1, 1], 3, 0.03, 0.08, 0.02);
-    // 200 trajectories spans three full frame blocks plus a ragged tail.
-    let mut rng = StdRng::seed_from_u64(23);
-    let dist = noisy_clifford_distribution(&c, &[], &[], &noise, 200, &mut rng).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dist =
+        noisy_clifford_distribution(&c, &[], &[], &noise, trajectories, &mut rng).unwrap().noisy;
     assert_eq!(dist.len(), 8);
-    for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
+    for (i, (&d, &bits)) in dist.iter().zip(golden).enumerate() {
         assert_bits(d, bits, &format!("frame dist[{i}]"));
     }
-    // Cross-engine: the tableau reference reproduces the frame engine's
-    // output bit-for-bit from the same seed.
-    let mut rng = StdRng::seed_from_u64(23);
+    let mut rng = StdRng::seed_from_u64(seed);
     let tableau =
-        noisy_clifford_distribution_tableau(&c, &[], &[], &noise, 200, &mut rng).unwrap();
+        noisy_clifford_distribution_tableau(&c, &[], &[], &noise, trajectories, &mut rng)
+            .unwrap();
     for (i, (&f, &t)) in dist.iter().zip(&tableau).enumerate() {
         assert_bits(t, f.to_bits(), &format!("tableau dist[{i}] vs frame"));
     }
+}
+
+/// Post-runtime golden: the bit-parallel Pauli-frame engine on 200
+/// trajectories, one ragged 256-lane block. The same call with the same
+/// seed must land on these bits at every `ELIVAGAR_THREADS` setting.
+#[test]
+fn frame_engine_bits_are_thread_count_invariant() {
+    assert_frame_golden(
+        200,
+        23,
+        &[
+            0x3fc8d8ec95bff046,
+            0x3fac9c4da9003eeb,
+            0x3fac9c4da9003eeb,
+            0x3fc8d8ec95bff046,
+            0x3fc8d8ec95bff046,
+            0x3fac9c4da9003eeb,
+            0x3fac9c4da9003eeb,
+            0x3fc8d8ec95bff046,
+        ],
+    );
+}
+
+/// Golden for the frame engine's block-order reduction: 600 trajectories
+/// are two full 256-lane blocks and a ragged one of 88, whose partial
+/// histograms dispatch across the pool and sum in block order.
+#[test]
+fn frame_engine_block_reduction_bits_are_thread_count_invariant() {
+    assert_frame_golden(
+        600,
+        29,
+        &[
+            0x3fc97c80841ede13,
+            0x3faa0dfdef8487ba,
+            0x3faa0dfdef8487ba,
+            0x3fc97c80841ede13,
+            0x3fc97c80841ede13,
+            0x3faa0dfdef8487ba,
+            0x3faa0dfdef8487ba,
+            0x3fc97c80841ede13,
+        ],
+    );
 }
 
 /// Composite score of the golden search's winner (see

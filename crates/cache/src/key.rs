@@ -35,7 +35,7 @@ use std::fmt;
 /// RNG ladders, noise model): old entries then miss by key *and* are
 /// rejected by the store's header check, so a stale cache can never serve
 /// a result the current engine would not reproduce.
-pub const ENGINE_SALT: u64 = 0x454C_4956_4147_0001; // "ELIVAG" + format v1
+pub const ENGINE_SALT: u64 = 0x454C_4956_4147_0002; // "ELIVAG" + format v2
 
 const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;

@@ -170,7 +170,7 @@ fn single_ulp_calibration_perturbation_never_collides() {
 #[test]
 fn golden_keys_pin_digest_and_salt() {
     assert_eq!(
-        ENGINE_SALT, 0x454C_4956_4147_0001,
+        ENGINE_SALT, 0x454C_4956_4147_0002,
         "ENGINE_SALT changed: bump goldens below alongside it"
     );
 
@@ -187,9 +187,9 @@ fn golden_keys_pin_digest_and_salt() {
 
     let goldens = [kind_only.hex(), with_seed.hex(), with_circuit.hex()];
     let expected = [
-        "9c880be6932d8c13adfcc9edb7d93c2505f51118718db3c94f51b4687670e71d",
-        "a9edc842a537b2a8e30d5b96200648d333035e6d9fa8b065dcb317999b6d7a11",
-        "4223d898f661e90eef78b81ff8dc5f5f97ea027751b8fb74870b432455d56c18",
+        "6024b739d07c0de366476cb4c2727d655edb1721346fe1caf6397fc641ee99ea",
+        "b3a95603b0382580cefa007b847fce646529742bb01df909e28efde329d49b4f",
+        "1d815ab3aa4e48fab6ad29bc743224a2919d5162bcaf1598c9f41adaca775f16",
     ];
     assert_eq!(
         goldens, expected,

@@ -42,7 +42,7 @@ fn multiplexed_ry(circuit: &mut Circuit, controls: &[usize], target: usize, angl
 /// `sum_i amplitudes[i] |i>` from `|0...0>` over `num_qubits` qubits.
 ///
 /// Amplitudes are zero-padded to `2^num_qubits` and normalized, matching
-/// [`elivagar_sim::StateVector::amplitude_embedded`]; signs are preserved
+/// `elivagar_sim::StateVector::amplitude_embedded`; signs are preserved
 /// exactly (up to no global phase at all — the output state is real).
 ///
 /// # Panics

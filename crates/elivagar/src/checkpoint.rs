@@ -123,11 +123,14 @@ impl Journal {
             .find(|r| r.stage == stage && r.index == index)
     }
 
-    /// Appends a record unless `(stage, index)` is already journaled.
-    pub fn push(&mut self, record: StageRecord) {
-        if self.lookup(record.stage, record.index).is_none() {
+    /// Appends a record unless `(stage, index)` is already journaled, and
+    /// returns whether it did.
+    pub fn push(&mut self, record: StageRecord) -> bool {
+        let fresh = self.lookup(record.stage, record.index).is_none();
+        if fresh {
             self.records.push(record);
         }
+        fresh
     }
 
     /// Number of journaled records.

@@ -16,11 +16,9 @@ use crate::config::SearchConfig;
 use crate::generate::Candidate;
 use elivagar_circuit::{Circuit, ParamExpr};
 use elivagar_device::{circuit_noise, Device, NoiseModelError};
-use elivagar_sim::{
-    fidelity, noisy_clifford_distribution, noisy_clifford_distribution_frames_with_ideal,
-    run_clifford,
-};
-use rand::{Rng, SeedableRng};
+use elivagar_sim::statevector::sample_from_distribution;
+use elivagar_sim::{counts_to_distribution, fidelity, noisy_clifford_distribution};
+use rand::Rng;
 
 /// Builds one Clifford replica: every parametric slot (trainable, data, or
 /// constant) is snapped to a uniformly random multiple of the gate's
@@ -56,7 +54,14 @@ pub struct CnrResult {
 ///
 /// The replica structure equals the candidate's structure, so the noise
 /// description is derived once from the candidate's physical placement and
-/// reused across replicas.
+/// reused across replicas. Each replica runs once on the Pauli-frame
+/// engine, which yields its noiseless and its trajectory-averaged noisy
+/// distribution from one call. With [`SearchConfig::cnr_shots`] unset the
+/// fidelity compares the two exactly; with `Some(shots)` it compares a
+/// `shots`-sample histogram of each, the sampling noise a hardware CNR
+/// measurement carries (1024-8192 shots are realistic). As `shots` and
+/// `config.cnr_trajectories` grow, the finite-shot value converges to the
+/// exact one.
 ///
 /// # Errors
 ///
@@ -66,7 +71,8 @@ pub struct CnrResult {
 ///
 /// # Panics
 ///
-/// Panics if `config.clifford_replicas` is zero (the mean would be NaN).
+/// Panics if `config.clifford_replicas` is zero (the mean would be NaN) or
+/// `config.cnr_shots` is `Some(0)` (a histogram of no shots is empty).
 pub fn cnr<R: Rng + ?Sized>(
     candidate: &Candidate,
     device: &Device,
@@ -74,6 +80,7 @@ pub fn cnr<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<CnrResult, NoiseModelError> {
     assert!(config.clifford_replicas >= 1, "cnr needs at least one Clifford replica");
+    assert_ne!(config.cnr_shots, Some(0), "need at least one shot");
     let sw = elivagar_obs::metrics::Stopwatch::start();
     elivagar_obs::metrics::CNR_EVALS.add(1);
     let physical = candidate.physical_circuit(device);
@@ -87,9 +94,7 @@ pub fn cnr<R: Rng + ?Sized>(
         elivagar_sim::faultpoint::hit("cnr::replica", seeds.seed(r));
         let mut rng = seeds.rng(r);
         let replica = clifford_replica(&candidate.circuit, &mut rng);
-        // The frame engine runs the ideal Clifford once to reconstruct the
-        // noisy histogram, so one call yields both sides of the fidelity.
-        let d = noisy_clifford_distribution_frames_with_ideal(
+        let d = noisy_clifford_distribution(
             &replica,
             &[],
             &[],
@@ -98,77 +103,14 @@ pub fn cnr<R: Rng + ?Sized>(
             &mut rng,
         )
         .expect("clifford replica is clifford by construction");
-        fidelity(&d.ideal, &d.noisy)
-    });
-    sw.record(&elivagar_obs::metrics::CNR_EVAL_NS);
-    Ok(CnrResult {
-        cnr: fidelities.iter().sum::<f64>() / config.clifford_replicas as f64,
-        executions: config.clifford_replicas as u64,
-    })
-}
-
-/// Computes CNR with *finite shots*, exactly as a hardware run would: the
-/// noisy histogram accumulates one sampled outcome per stabilizer
-/// trajectory, and the noiseless reference distribution is itself sampled
-/// with `shots` shots instead of taken exactly.
-///
-/// With `shots` and `config.cnr_trajectories` large this converges to
-/// [`cnr`]; at realistic shot counts (1024-8192) it adds the sampling
-/// noise a real CNR measurement carries.
-///
-/// # Errors
-///
-/// Returns [`NoiseModelError`] under the same conditions as [`cnr`].
-///
-/// # Panics
-///
-/// Panics if `shots` or `config.clifford_replicas` is zero.
-pub fn cnr_with_shots<R: Rng + ?Sized>(
-    candidate: &Candidate,
-    device: &Device,
-    config: &SearchConfig,
-    shots: usize,
-    rng: &mut R,
-) -> Result<CnrResult, NoiseModelError> {
-    assert!(shots > 0, "need at least one shot");
-    assert!(config.clifford_replicas >= 1, "cnr needs at least one Clifford replica");
-    let sw = elivagar_obs::metrics::Stopwatch::start();
-    elivagar_obs::metrics::CNR_EVALS.add(1);
-    let physical = candidate.physical_circuit(device);
-    let noise = circuit_noise(device, &physical)?;
-    // Replicas are statistically independent, so they batch: each gets its
-    // own generator seeded from the caller's stream (keeping the result a
-    // deterministic function of `rng`'s state) and runs on its own core.
-    let replica_seeds: Vec<u64> = (0..config.clifford_replicas)
-        .map(|_| rng.next_u64())
-        .collect();
-    let fidelities = elivagar_sim::parallel::par_map(&replica_seeds, |&seed| {
-        elivagar_sim::faultpoint::hit("cnr::replica", seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let replica = clifford_replica(&candidate.circuit, &mut rng);
-        // Noiseless reference, sampled with finite shots.
-        let ideal_exact = run_clifford(&replica, &[], &[])
-            .expect("clifford replica is clifford by construction")
-            .measurement_distribution(replica.measured());
-        let ideal_counts =
-            elivagar_sim::statevector::sample_from_distribution(&ideal_exact, shots, &mut rng);
-        let ideal = elivagar_sim::counts_to_distribution(&ideal_counts);
-        // Noisy side: one sampled outcome per trajectory (how shots are
-        // actually spent on hardware). Reuse the trajectory engine with a
-        // per-trajectory exact dist, then sample each.
-        let noisy_exact = noisy_clifford_distribution(
-            &replica,
-            &[],
-            &[],
-            &noise,
-            config.cnr_trajectories,
-            &mut rng,
-        )
-        .expect("clifford replica is clifford by construction");
-        let noisy_counts =
-            elivagar_sim::statevector::sample_from_distribution(&noisy_exact, shots, &mut rng);
-        let noisy = elivagar_sim::counts_to_distribution(&noisy_counts);
-        fidelity(&ideal, &noisy)
+        match config.cnr_shots {
+            None => fidelity(&d.ideal, &d.noisy),
+            Some(shots) => {
+                let ideal = sample_from_distribution(&d.ideal, shots, &mut rng);
+                let noisy = sample_from_distribution(&d.noisy, shots, &mut rng);
+                fidelity(&counts_to_distribution(&ideal), &counts_to_distribution(&noisy))
+            }
+        }
     });
     sw.record(&elivagar_obs::metrics::CNR_EVAL_NS);
     Ok(CnrResult {
@@ -312,16 +254,16 @@ mod tests {
         let exact = cnr(&cand, &device, &cfg, &mut StdRng::seed_from_u64(5))
             .unwrap()
             .cnr;
-        let shot_based =
-            cnr_with_shots(&cand, &device, &cfg, 8192, &mut StdRng::seed_from_u64(5))
-                .unwrap()
-                .cnr;
+        let shots = cfg.clone().with_shots(8192);
+        let shot_based = cnr(&cand, &device, &shots, &mut StdRng::seed_from_u64(5))
+            .unwrap()
+            .cnr;
         assert!(
             (exact - shot_based).abs() < 0.08,
             "exact {exact} vs shot-based {shot_based}"
         );
         // Tiny shot counts still give a probability.
-        let coarse = cnr_with_shots(&cand, &device, &cfg, 16, &mut rng).unwrap().cnr;
+        let coarse = cnr(&cand, &device, &cfg.with_shots(16), &mut rng).unwrap().cnr;
         assert!((0.0..=1.0).contains(&coarse));
     }
 
@@ -340,10 +282,8 @@ mod tests {
         let rng = &mut StdRng::seed_from_u64(4);
         let cand = generate_candidate(&device, &cfg, rng);
         cfg.clifford_replicas = 0;
-        let _ = match shots {
-            Some(shots) => cnr_with_shots(&cand, &device, &cfg, shots, rng),
-            None => cnr(&cand, &device, &cfg, rng),
-        };
+        cfg.cnr_shots = shots;
+        let _ = cnr(&cand, &device, &cfg, rng);
     }
 
     #[test]
@@ -354,7 +294,17 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one Clifford replica")]
-    fn cnr_with_shots_rejects_zero_replicas() {
+    fn finite_shot_cnr_rejects_zero_replicas() {
         cnr_without_replicas(Some(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shot")]
+    fn cnr_rejects_zero_shots() {
+        let (device, mut cfg) = (ibm_lagos(), fast_config());
+        let rng = &mut StdRng::seed_from_u64(4);
+        let cand = generate_candidate(&device, &cfg, rng);
+        cfg.cnr_shots = Some(0);
+        let _ = cnr(&cand, &device, &cfg, rng);
     }
 }

@@ -167,10 +167,11 @@ pub struct SearchConfig {
     pub clifford_replicas: usize,
     /// Noisy stabilizer trajectories per replica.
     pub cnr_trajectories: usize,
-    /// Finite shots per CNR measurement. `None` (the default) uses exact
-    /// distributions; `Some(shots)` routes scoring through
-    /// [`crate::cnr::cnr_with_shots`], adding hardware-realistic sampling
-    /// noise.
+    /// Finite shots per CNR measurement. `None` (the default) compares
+    /// each replica's exact ideal and noisy distributions; `Some(shots)`
+    /// makes [`crate::cnr::cnr`] compare `shots`-sample histograms of the
+    /// two instead, adding hardware-realistic sampling noise. `Some(0)`
+    /// makes `cnr` panic.
     pub cnr_shots: Option<usize>,
     /// Absolute CNR rejection threshold (paper default 0.7).
     pub cnr_threshold: f64,

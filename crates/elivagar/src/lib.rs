@@ -39,7 +39,7 @@ pub mod strategy;
 pub mod vqe;
 
 pub use checkpoint::{CheckpointError, Fingerprint, Journal, StageRecord};
-pub use cnr::{clifford_replica, cnr, cnr_with_shots, reject_low_fidelity, CnrResult};
+pub use cnr::{clifford_replica, cnr, reject_low_fidelity, CnrResult};
 pub use config::{
     EmbeddingPolicy, GateSet, GenerationStrategy, Nsga2Config, SearchConfig, SelectionStrategy,
     StrategyChoice,

@@ -15,7 +15,7 @@
 //! API.
 
 use crate::checkpoint::{self, CheckpointError, Fingerprint, Journal, StageRecord};
-use crate::cnr::{cnr, cnr_with_shots, reject_low_fidelity};
+use crate::cnr::{cnr, reject_low_fidelity};
 use crate::config::{SearchConfig, SelectionStrategy, StrategyChoice};
 use crate::generate::Candidate;
 use crate::repcap::repcap;
@@ -515,15 +515,19 @@ pub fn run_search_with(
             Decision::Continue => {
                 // Journal the generation boundary so a killed run knows
                 // which rounds completed; one-shot strategies stop at
-                // round 0 and leave the journal layout unchanged.
-                engine.ledger.journal.push(StageRecord {
+                // round 0 and leave the journal layout unchanged. A
+                // resumed run replays the markers it already holds, and
+                // saves only one it adds.
+                let marker = StageRecord {
                     stage: SearchStage::Generation,
                     index: round,
                     value_bits: None,
                     executions: 0,
                     quarantine: None,
-                });
-                engine.ledger.commit()?;
+                };
+                if engine.ledger.journal.push(marker) {
+                    engine.ledger.commit()?;
+                }
                 round += 1;
             }
         }
@@ -894,15 +898,9 @@ impl Engine<'_> {
                             cache,
                             || cnr_cache_key(&all[i], device, config, seed),
                             || {
-                                let (candidate, mut rng) = (&all[i], StdRng::seed_from_u64(seed));
-                                match config.cnr_shots {
-                                    Some(shots) => {
-                                        cnr_with_shots(candidate, device, config, shots, &mut rng)
-                                    }
-                                    None => cnr(candidate, device, config, &mut rng),
-                                }
-                                .map(|r| (r.cnr, r.executions))
-                                .map_err(|_| SearchError::UnroutedCandidate { index: i })
+                                cnr(&all[i], device, config, &mut StdRng::seed_from_u64(seed))
+                                    .map(|r| (r.cnr, r.executions))
+                                    .map_err(|_| SearchError::UnroutedCandidate { index: i })
                             },
                         )
                     },
@@ -1525,6 +1523,47 @@ mod tests {
         )
         .expect_err("stops mid-evolution");
         assert!(matches!(err, SearchError::Interrupted { .. }));
+        let resumed = run_search(
+            &device,
+            &dataset,
+            &config,
+            &RunOptions::new().with_checkpoint(path.clone()).with_resume(path.clone()),
+        )
+        .expect("resumed evolution completes");
+        assert_eq!(resumed, baseline);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resumed_nsga2_slices_replay_generation_markers_without_saving() {
+        let (device, dataset, config) = setup();
+        let config = config.with_nsga2(
+            crate::config::Nsga2Config::default().with_population(4).with_generations(2),
+        );
+        let baseline =
+            run_search(&device, &dataset, &config, &RunOptions::default()).expect("baseline");
+        let path = scratch("nsga2-zero-slices");
+        let _ = std::fs::remove_file(&path);
+        let slice = |budget| {
+            let mut options =
+                RunOptions::new().with_checkpoint(path.clone()).with_slice_budget(budget);
+            if path.exists() {
+                options = options.with_resume(path.clone());
+            }
+            run_search(&device, &dataset, &config, &options)
+        };
+        // Round 0 journals 4 CNR records, 4 RepCap records and its
+        // generation marker; the tenth record is round 1's first CNR.
+        let mut stops = Vec::new();
+        for budget in [10, 0, 0, 0] {
+            match slice(budget) {
+                Err(SearchError::Interrupted { records }) => stops.push(records),
+                other => panic!("slice of budget {budget} did not stop: {other:?}"),
+            }
+        }
+        // A zero-budget slice replays round 0, marker included, without a
+        // save, then evaluates one new candidate and stops after it.
+        assert_eq!(stops, [10, 11, 12, 13]);
         let resumed = run_search(
             &device,
             &dataset,

@@ -342,12 +342,12 @@ fn nsga2_kill_and_resume_under_fire_is_bit_identical() {
 
     // Each round journals 6 CNR and 6 RepCap records, and rounds 0 and 1
     // a generation marker. Slice 7's first save commits round 0's marker
-    // (13 records). A resumed slice of a later round first re-commits the
-    // markers it replays, so its first save rewrites the journal the last
-    // slice left. Kills in slices 2, 7, 11 and 16 leave 4 records
-    // (mid-CNR, round 0), 13 (the generation boundary), 20 (mid-RepCap,
-    // round 1) and 30 (mid-CNR, round 2).
-    for (k, kill_records) in [(2u64, 4usize), (7, 13), (11, 20), (16, 30)] {
+    // (13 records). A resumed slice replays the markers it already holds
+    // without saving them, so its first save follows new records. Kills
+    // in slices 2, 7, 11 and 16 leave 4 records (mid-CNR, round 0), 13
+    // (the generation boundary), 22 (mid-RepCap, round 1) and 32 (the end
+    // of round 2's CNR stage).
+    for (k, kill_records) in [(2u64, 4usize), (7, 13), (11, 22), (16, 32)] {
         arm_ambient();
         let records = kill_in_slice(task, &RunOptions::new(), &path, k);
         assert_eq!(records, kill_records, "kill in slice {k}");

@@ -292,8 +292,8 @@ histograms! {
     /// Gate-fusion pass latency (ns): one compile/bind fusion or one
     /// per-sample dynamic re-fusion through the recycled scratch.
     FUSION_NS => "fusion";
-    /// Per-block latency of the Pauli-frame engine (ns): one 64-lane
-    /// propagation through the compiled step stream.
+    /// Per-block latency of the Pauli-frame engine (ns): one block of up
+    /// to 256 lanes propagated through the compiled step stream.
     FRAME_BLOCK_NS => "frame_block";
     /// Per-round search-strategy latency (ns): one propose + evaluate
     /// cycle of the engine/strategy loop.

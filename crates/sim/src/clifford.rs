@@ -6,8 +6,8 @@
 //! stabilizer tableau, and reports a meaningful error when a gate or angle
 //! falls outside the Clifford group.
 
-use crate::stabilizer::{CliffordOp, Tableau};
-use elivagar_circuit::{Circuit, Gate, Instruction};
+use crate::stabilizer::CliffordOp;
+use elivagar_circuit::{Gate, Instruction};
 use std::error::Error;
 use std::fmt;
 
@@ -227,25 +227,6 @@ pub fn lower_instruction(
     Ok(out)
 }
 
-/// Runs a Clifford circuit on the stabilizer tableau.
-///
-/// # Errors
-///
-/// Returns [`LowerCliffordError`] if any resolved instruction is not
-/// Clifford.
-pub fn run_clifford(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-) -> Result<Tableau, LowerCliffordError> {
-    let mut t = Tableau::new(circuit.num_qubits());
-    for ins in circuit.instructions() {
-        let values = ins.resolve_params(params, features);
-        t.apply_all(&lower_instruction(ins, &values)?);
-    }
-    Ok(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,22 +359,5 @@ mod tests {
         let ins = Instruction::new(Gate::T, vec![0], vec![]);
         let err = lower_instruction(&ins, &[]).unwrap_err();
         assert!(err.to_string().contains("not a clifford"));
-    }
-
-    #[test]
-    fn run_clifford_matches_statevector() {
-        let mut c = Circuit::new(3);
-        c.push_gate(Gate::H, &[0], &[]);
-        c.push_gate(Gate::Rx, &[1], &[ParamExpr::constant(PI / 2.0)]);
-        c.push_gate(Gate::Cx, &[0, 2], &[]);
-        c.push_gate(Gate::Rzz, &[1, 2], &[ParamExpr::constant(PI)]);
-        c.push_gate(Gate::Ry, &[2], &[ParamExpr::constant(3.0 * PI / 2.0)]);
-        let t = run_clifford(&c, &[], &[]).unwrap();
-        let dist_tab = t.measurement_distribution(&[0, 1, 2]);
-        let psi = StateVector::run(&c, &[], &[]);
-        let dist_sv = psi.marginal_probabilities(&[0, 1, 2]);
-        for (a, b) in dist_tab.iter().zip(&dist_sv) {
-            assert!((a - b).abs() < 1e-9, "{dist_tab:?} vs {dist_sv:?}");
-        }
     }
 }

@@ -1069,14 +1069,10 @@ fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
 }
 
 /// Applies a two-qubit unitary (`qa` the low subspace bit) to a slice
-/// whose length is a multiple of `2^(max(qa,qb)+1)`.
-///
-/// The operand order is normalized once (conjugation by SWAP) so the
-/// butterfly always sees the lower wire as the low subspace bit, and the
-/// four amplitude quadrants are traversed as zipped sub-slices: exactly
-/// the `2^(n-2)` butterflies execute, with no index filtering and no
-/// bounds checks in the inner loop. Ops on qubit 0 round exactly like
-/// the scalar loop.
+/// whose length is a multiple of `2^(max(qa,qb)+1)`. Pairs off qubit 0
+/// take the AVX2+FMA kernel; pairs on qubit 0 take the no-FMA AVX2 kernel,
+/// which rounds exactly like the scalar butterfly
+/// (`statevector::apply_mat2_exact`) that hosts without AVX2 run.
 fn apply_mat2_slice(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1098,31 +1094,7 @@ fn apply_mat2_slice(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
             return;
         }
     }
-    apply_mat2_slice_scalar(amps, qa, qb, m);
-}
-
-fn apply_mat2_slice_scalar(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
-    let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
-    let normalized = if qa < qb { *m } else { swap_operands(m) };
-    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
-        normalized.0;
-    let sl = 1usize << lo;
-    for block in amps.chunks_exact_mut(1usize << (hi + 1)) {
-        let (h0, h1) = block.split_at_mut(1usize << hi);
-        for (sub0, sub1) in h0.chunks_exact_mut(sl << 1).zip(h1.chunks_exact_mut(sl << 1)) {
-            // Quadrants indexed as bit_lo + 2*bit_hi.
-            let (q0, q1) = sub0.split_at_mut(sl);
-            let (q2, q3) = sub1.split_at_mut(sl);
-            let quads = q0.iter_mut().zip(q1.iter_mut()).zip(q2.iter_mut().zip(q3.iter_mut()));
-            for ((p0, p1), (p2, p3)) in quads {
-                let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
-                *p0 = m00 * a0 + m01 * a1 + m02 * a2 + m03 * a3;
-                *p1 = m10 * a0 + m11 * a1 + m12 * a2 + m13 * a3;
-                *p2 = m20 * a0 + m21 * a1 + m22 * a2 + m23 * a3;
-                *p3 = m30 * a0 + m31 * a1 + m32 * a2 + m33 * a3;
-            }
-        }
-    }
+    crate::statevector::apply_mat2_exact(amps, qa, qb, m);
 }
 
 /// Applies a diagonal single-qubit unitary (`d = [d_clear, d_set]`) to a
@@ -1651,7 +1623,7 @@ mod qubit0_exactness {
                 let mut dense = amps.clone();
                 apply_mat2_slice(&mut dense, qa, qb, &m);
                 let mut expected = amps.clone();
-                apply_mat2_slice_scalar(&mut expected, qa, qb, &m);
+                crate::statevector::apply_mat2_exact(&mut expected, qa, qb, &m);
                 prop_assert_eq!(bits(&dense), bits(&expected), "dense n={} ({}, {})", n, qa, qb);
                 if let Some(d) = diag_of_mat4(&m) {
                     expected = amps.clone();

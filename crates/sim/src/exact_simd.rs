@@ -18,8 +18,9 @@
 //!   engine's dense one-qubit kernel at qubit 0;
 //! * the `*_q0` kernels are the fused engine's other kernels for ops
 //!   touching qubit 0, where its AVX2+FMA kernels cannot pack two
-//!   amplitudes of one quadrant into a register. Their scalar twins in
-//!   `engine` stay as the portable path and as the tests' oracle.
+//!   amplitudes of one quadrant into a register. Their scalar twins (in
+//!   `engine`, and `statevector::apply_mat2_exact` for the dense
+//!   two-qubit one) stay as the portable path and as the tests' oracle.
 //!
 //! At qubit 0 both amplitudes of a butterfly sit in one register `[a0,
 //! a1]`. The kernels broadcast each half to a whole register and put the
@@ -213,7 +214,7 @@ unsafe fn butterfly4_q0(
     f
 }
 
-/// `engine::apply_mat2_slice_scalar` for a pair whose low operand is
+/// `statevector::apply_mat2_exact` for a pair whose low operand is
 /// qubit 0, bit for bit. `m` is in the `(0, hi)` operand order (index
 /// `bit_0 + 2*bit_hi`) and `hi >= 1`. Each butterfly is the register `[a0,
 /// a1]` where bit `hi` is clear and `[a2, a3]` where it is set.

@@ -95,7 +95,7 @@ pub mod workspace;
 pub use adjoint::{AdjointBinding, AdjointProgram, Gradients, ZObservable};
 pub use engine::{par_items_with_arena, BoundProgram, Program, TILE_QUBITS};
 pub use cancel::CancelToken;
-pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};
+pub use clifford::{lower_instruction, LowerCliffordError};
 pub use density::DensityMatrix;
 pub use noise::{CircuitNoise, DampingError, InstructionNoise, PauliError, ReadoutError};
 pub use parallel::TaskPanic;
@@ -103,8 +103,5 @@ pub use runtime::{num_threads, panic_message, threads_from_env, TaskSeeds, THREA
 pub use sampling::{counts_to_distribution, fidelity, pairwise_tvd_into, tvd};
 pub use stabilizer::{CliffordOp, Tableau};
 pub use statevector::{SimError, StateVector};
-pub use frame::{
-    noisy_clifford_distribution, noisy_clifford_distribution_frames_with_ideal,
-    FrameDistributions, FrameSimulator, FrameWords, DEFAULT_FRAME_WORDS, FRAME_LANES,
-};
+pub use frame::{noisy_clifford_distribution, FrameDistributions, FrameSimulator, BLOCK_LANES};
 pub use trajectory::{noisy_distribution, noisy_distribution_seeded};

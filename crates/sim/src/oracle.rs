@@ -216,7 +216,8 @@ mod tests {
         let frame = noisy_clifford_distribution(
             &c, &[], &[], &noise, 97, &mut StdRng::seed_from_u64(8),
         )
-        .unwrap();
+        .unwrap()
+        .noisy;
         let tableau = noisy_clifford_distribution_tableau(
             &c, &[], &[], &noise, 97, &mut StdRng::seed_from_u64(8),
         )

@@ -26,7 +26,7 @@ const LANES: usize = 4;
 /// Each entry is bit-identical to [`tvd`]`(rows[i], rows[j])`: every
 /// pair still sums `|p_i(k) - p_j(k)|` in ascending `k`. The speed comes
 /// from the layout, not from reassociating the sums: blocks of
-/// [`BLOCK_OUTCOMES`] outcomes are gathered sample-minor into a scratch
+/// `BLOCK_OUTCOMES` outcomes are gathered sample-minor into a scratch
 /// block, and the SIMD lanes run across samples `j`, so one register
 /// holds four pairs' running sums. `out` itself holds the running sums,
 /// so the only other scratch is the `BLOCK_OUTCOMES x n` block.

@@ -260,7 +260,7 @@ impl StateVector {
     /// Applies a single-qubit operator to qubit `q`: each amplitude pair
     /// `(a0, a1)` becomes `(m00*a0 + m01*a1, m10*a0 + m11*a1)` in `C64`
     /// arithmetic. The SIMD path rounds every lane exactly like that
-    /// scalar expression (see [`apply_mat1_exact`]), so results are
+    /// scalar expression (see `apply_mat1_exact`), so results are
     /// bit-identical on every host. `m` need not be unitary (damping
     /// Kraus operators use this too).
     ///
@@ -273,7 +273,8 @@ impl StateVector {
     }
 
     /// Applies a two-qubit unitary to qubits `(qa, qb)` where `qa` is the
-    /// low bit of the 4-dimensional subspace index.
+    /// low bit of the 4-dimensional subspace index, through the fused
+    /// engine's scalar butterfly (`apply_mat2_exact`).
     ///
     /// # Panics
     ///
@@ -281,25 +282,7 @@ impl StateVector {
     pub fn apply_mat2(&mut self, qa: usize, qb: usize, m: &Mat4) {
         assert!(qa != qb, "two-qubit gate needs distinct qubits");
         assert!(qa < self.num_qubits && qb < self.num_qubits, "qubit out of range");
-        let ba = 1usize << qa;
-        let bb = 1usize << qb;
-        let n = self.amps.len();
-        for i in 0..n {
-            if i & ba == 0 && i & bb == 0 {
-                let i00 = i;
-                let i01 = i | ba;
-                let i10 = i | bb;
-                let i11 = i | ba | bb;
-                let a = [self.amps[i00], self.amps[i01], self.amps[i10], self.amps[i11]];
-                for (row, &idx) in [i00, i01, i10, i11].iter().enumerate() {
-                    let mut acc = C64::ZERO;
-                    for (col, &amp) in a.iter().enumerate() {
-                        acc += m.0[row][col] * amp;
-                    }
-                    self.amps[idx] = acc;
-                }
-            }
-        }
+        apply_mat2_exact(&mut self.amps, qa, qb, m);
     }
 
     /// Applies one resolved instruction (angles already evaluated).
@@ -512,6 +495,38 @@ fn apply_mat1_portable(amps: &mut [C64], q: usize, m: &Mat2) {
             let a1 = *s;
             *c = m00 * a0 + m01 * a1;
             *s = m10 * a0 + m11 * a1;
+        }
+    }
+}
+
+/// Two-qubit butterfly (`qa` the low subspace bit) over a slice whose
+/// length is a multiple of `2^(max(qa,qb)+1)`, in scalar `C64`
+/// arithmetic. The operand order is normalized once (conjugation by SWAP)
+/// so the lower wire is always the low subspace bit, and the four
+/// amplitude quadrants are traversed as zipped sub-slices: exactly the
+/// `2^(n-2)` butterflies execute, with no index filtering and no bounds
+/// checks in the inner loop. The fused engine's no-FMA kernel for pairs
+/// on qubit 0 rounds exactly like it.
+pub(crate) fn apply_mat2_exact(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
+    let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
+    let normalized = if qa < qb { *m } else { crate::engine::swap_operands(m) };
+    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
+        normalized.0;
+    let sl = 1usize << lo;
+    for block in amps.chunks_exact_mut(1usize << (hi + 1)) {
+        let (h0, h1) = block.split_at_mut(1usize << hi);
+        for (sub0, sub1) in h0.chunks_exact_mut(sl << 1).zip(h1.chunks_exact_mut(sl << 1)) {
+            // Quadrants indexed as bit_lo + 2*bit_hi.
+            let (q0, q1) = sub0.split_at_mut(sl);
+            let (q2, q3) = sub1.split_at_mut(sl);
+            let quads = q0.iter_mut().zip(q1.iter_mut()).zip(q2.iter_mut().zip(q3.iter_mut()));
+            for ((p0, p1), (p2, p3)) in quads {
+                let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
+                *p0 = m00 * a0 + m01 * a1 + m02 * a2 + m03 * a3;
+                *p1 = m10 * a0 + m11 * a1 + m12 * a2 + m13 * a3;
+                *p2 = m20 * a0 + m21 * a1 + m22 * a2 + m23 * a3;
+                *p3 = m30 * a0 + m31 * a1 + m32 * a2 + m33 * a3;
+            }
         }
     }
 }

@@ -136,7 +136,7 @@ fn run_trajectory<R: Rng + ?Sized>(
 ///
 /// Draws one value from `rng` ([`TaskSeeds::from_rng`]) and runs
 /// [`noisy_distribution_seeded`] with it: shots run in parallel across the
-/// work-stealing pool in fixed [`SHOT_CHUNK`]-sized chunks, each from its
+/// work-stealing pool in fixed `SHOT_CHUNK`-sized chunks, each from its
 /// own RNG stream split off that value by shot index, so the result does
 /// not depend on the thread count.
 ///
@@ -276,7 +276,7 @@ mod tests {
         let mut rng1 = StdRng::seed_from_u64(4);
         let mut rng2 = StdRng::seed_from_u64(5);
         let d_cliff =
-            noisy_clifford_distribution(&c, &[], &[], &noise, 6000, &mut rng1).unwrap();
+            noisy_clifford_distribution(&c, &[], &[], &noise, 6000, &mut rng1).unwrap().noisy;
         let d_sv = noisy_distribution(&c, &[], &[], &noise, 6000, &mut rng2);
         assert!(tvd(&d_cliff, &d_sv) < 0.03, "{d_cliff:?} vs {d_sv:?}");
     }

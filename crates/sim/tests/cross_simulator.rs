@@ -138,6 +138,7 @@ fn assert_sampled_engines_match(case: &Case) {
         let mut rng = StdRng::seed_from_u64(seed);
         noisy_clifford_distribution(c, &[], &[], noise, TRAJECTORIES, &mut rng)
             .expect("generated circuits are Clifford")
+            .noisy
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let trajectory = noisy_distribution(c, &[], &[], &case.noise, TRAJECTORIES, &mut rng);

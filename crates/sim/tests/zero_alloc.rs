@@ -17,7 +17,7 @@ use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_sim::oracle::inject_pauli_tableau;
 use elivagar_sim::{
     lower_instruction, workspace, AdjointBinding, AdjointProgram, CircuitNoise, CliffordOp,
-    FrameSimulator, Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
+    FrameSimulator, Gradients, PauliError, Program, TaskSeeds, ZObservable, BLOCK_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -191,16 +191,16 @@ fn steady_state_frame_block_does_not_allocate() {
     let noise = CircuitNoise::uniform(&[1, 2, 2, 1], 4, 0.05, 0.03, 0.02);
     let sim = FrameSimulator::compile(&c, &[], &[], &noise).expect("clifford");
     let seeds = TaskSeeds::from_base(7);
-    let mut masks = [0u64; FRAME_LANES];
+    let mut masks = [0u64; BLOCK_LANES];
 
-    // Warmup: pool the x/z word buffers.
-    sim.block_masks(&seeds, 0, FRAME_LANES, &mut masks);
+    // Warmup: pool the x/z word buffers and the lane generators.
+    sim.block_masks(&seeds, 0, BLOCK_LANES, &mut masks);
 
     let before = thread_allocations();
     let mut acc = 0u64;
     for block in 0..50 {
-        sim.block_masks(&seeds, block * FRAME_LANES, FRAME_LANES, &mut masks);
-        acc ^= masks[block % FRAME_LANES];
+        sim.block_masks(&seeds, block * BLOCK_LANES, BLOCK_LANES, &mut masks);
+        acc ^= masks[block % BLOCK_LANES];
     }
     let delta = thread_allocations() - before;
 

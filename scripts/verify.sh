@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, workspace tests, and the clippy
-# -D warnings lint. Every dependency is vendored in-repo (vendor/), so
+# Full verification gate: release build, workspace tests, the clippy
+# -D warnings lint and warning-free rustdoc. Every dependency is vendored in-repo (vendor/), so
 # this runs fully offline; CARGO_NET_OFFLINE makes any accidental
 # network fetch a hard error instead of a hang.
 set -euo pipefail
@@ -35,6 +35,10 @@ run_counted() {
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc: every intra-doc link resolves and no public doc links a
+# private item, so deleting or hiding an item cannot leave a dangling
+# link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Thread-count determinism matrix: every predictor must produce
 # bit-identical f64s at any pool size. ELIVAGAR_THREADS is read once at

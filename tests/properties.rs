@@ -5,7 +5,7 @@
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_compiler::{cancel_adjacent_inverses, decompose_to_basis, route, TwoQubitBasis};
 use elivagar_device::Topology;
-use elivagar_sim::{run_clifford, tvd, Program, StateVector};
+use elivagar_sim::{tvd, CircuitNoise, FrameSimulator, Program, StateVector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,9 +147,13 @@ proptest! {
             .iter()
             .any(|i| matches!(i.gate, Gate::T | Gate::Tdg));
         if !has_t {
-            let tableau = run_clifford(&replica, &[], &[]);
-            prop_assert!(tableau.is_ok());
-            let dist = tableau.expect("clifford").measurement_distribution(replica.measured());
+            // The ideal path CNR runs: the frame engine's noiseless tableau.
+            let arities: Vec<usize> =
+                replica.instructions().iter().map(|i| i.qubits.len()).collect();
+            let noise = CircuitNoise::noiseless(&arities, replica.measured().len());
+            let sim = FrameSimulator::compile(&replica, &[], &[], &noise);
+            prop_assert!(sim.is_ok());
+            let dist = sim.expect("clifford").ideal_distribution();
             prop_assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             // The stabilizer distribution must agree with dense simulation.
             let dense = StateVector::run(&replica, &[], &[])
